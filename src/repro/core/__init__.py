@@ -23,6 +23,7 @@ from repro.core.analytic import (
 from repro.core.base import (
     SamplerBackend,
     SampleScratch,
+    first_to_fire_winners,
     select_first_to_fire,
     select_first_to_fire_chains_into,
     select_first_to_fire_into,
@@ -78,7 +79,13 @@ from repro.core.phase_type import (
 )
 from repro.core.rsu import LegacyRSUG, NewRSUG, RSUGSampler
 from repro.core.software import GreedySampler, SoftwareSampler
-from repro.core.ttf import TTFSampler, bin_probabilities, cutoff_bin, no_sample_bin
+from repro.core.ttf import (
+    TTFSampler,
+    bin_probabilities,
+    bins_from_uniforms,
+    cutoff_bin,
+    no_sample_bin,
+)
 
 __all__ = [
     "expected_ratio_error",
@@ -88,6 +95,7 @@ __all__ = [
     "SoftwareMHSampler",
     "SamplerBackend",
     "SampleScratch",
+    "first_to_fire_winners",
     "select_first_to_fire",
     "select_first_to_fire_chains_into",
     "select_first_to_fire_into",
@@ -134,6 +142,7 @@ __all__ = [
     "SoftwareSampler",
     "TTFSampler",
     "bin_probabilities",
+    "bins_from_uniforms",
     "cutoff_bin",
     "no_sample_bin",
 ]

@@ -9,6 +9,7 @@ batch of conditionally independent sites, draw one label per site.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 import numpy as np
 
@@ -180,7 +181,23 @@ def select_first_to_fire(
     who wins a tie (see :data:`repro.core.params.TIE_POLICIES`).
     """
     ttf = np.asarray(ttf)
-    n_labels = ttf.shape[1]
+    tie_uniforms = rng.random(ttf.shape) if tie_policy == "random" else None
+    return first_to_fire_winners(ttf, tie_policy, tie_uniforms)
+
+
+def first_to_fire_winners(
+    ttf: np.ndarray, tie_policy: str, tie_uniforms: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Winning label per row (last axis) of TTFs, ties broken by policy.
+
+    The key construction of :func:`select_first_to_fire` for callers
+    that draw the tie-break entropy themselves: the ``random`` policy
+    ranks the given ``tie_uniforms`` (same shape as ``ttf``), the
+    deterministic policies ignore them.  Integer TTFs win on
+    ``ttf * M + order``; float TTFs win on their value, with all-cut-off
+    ``+inf`` lanes spread by the tie order.
+    """
+    n_labels = ttf.shape[-1]
     if tie_policy == "first":
         order = np.broadcast_to(np.arange(n_labels, dtype=np.int64), ttf.shape)
     elif tie_policy == "last":
@@ -188,7 +205,7 @@ def select_first_to_fire(
             np.arange(n_labels - 1, -1, -1, dtype=np.int64), ttf.shape
         )
     elif tie_policy == "random":
-        order = np.argsort(rng.random(ttf.shape), axis=1).astype(np.int64)
+        order = np.argsort(tie_uniforms, axis=-1)
     else:
         raise DataError(f"unknown tie policy {tie_policy!r}")
     if np.issubdtype(ttf.dtype, np.floating):
@@ -198,7 +215,7 @@ def select_first_to_fire(
         keys = np.where(np.isinf(ttf), big * (1.0 + order / (10.0 * n_labels)), ttf)
     else:
         keys = ttf.astype(np.int64) * np.int64(n_labels) + order
-    return np.argmin(keys, axis=1).astype(np.int64)
+    return np.argmin(keys, axis=-1).astype(np.int64)
 
 
 def select_first_to_fire_into(

@@ -62,6 +62,7 @@ class EnergyDatapath:
     distance_truncate: Optional[int] = None
     _values: np.ndarray = field(init=False, repr=False)
     _pair_lut: np.ndarray = field(init=False, repr=False)
+    _padded_lut: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.label_values, dtype=np.int64)
@@ -88,6 +89,11 @@ class EnergyDatapath:
             raise ConfigError("energy_bits must be in [1, 16]")
         self._values = values
         self._pair_lut = self._build_pair_lut()
+        # One all-zero row past the labels: the "missing neighbour"
+        # sentinel index ``n_labels`` contributes no doubleton cost.
+        self._padded_lut = np.vstack(
+            [self._pair_lut, np.zeros((1, self.n_labels), dtype=np.int64)]
+        )
 
     @property
     def n_labels(self) -> int:
@@ -149,10 +155,40 @@ class EnergyDatapath:
             raise DataError("evaluated labels out of range")
         if np.any((neigh < 0) | (neigh > self.n_labels)):
             raise DataError("neighbor labels out of range (sentinel allowed)")
-        padded = np.zeros((self.n_labels + 1, self.n_labels), dtype=np.int64)
-        padded[: self.n_labels] = self._pair_lut
-        doubleton = padded[neigh, lab[:, None]].sum(axis=1)
-        total = self.singleton_weight * s + self.doubleton_weight * doubleton
+        doubleton = self._padded_lut[neigh, lab[:, None]].sum(axis=1)
+        return self._saturate(s, doubleton)
+
+    def compute_rows(
+        self, singleton: np.ndarray, neighbor_labels: np.ndarray
+    ) -> np.ndarray:
+        """Energies of every label for a block of evaluations.
+
+        Row ``i`` equals :meth:`compute` of ``singleton[i]`` against all
+        ``M`` labels with ``neighbor_labels[i]`` repeated per label.
+
+        Parameters
+        ----------
+        singleton:
+            Unsigned integer singleton costs, shape ``(N, M)``.
+        neighbor_labels:
+            Neighbour label indices, shape ``(N, 4)``, with the
+            ``n_labels`` sentinel for a missing neighbour.
+        """
+        s = np.asarray(singleton, dtype=np.int64)
+        neigh = np.asarray(neighbor_labels, dtype=np.int64)
+        if s.ndim != 2 or s.shape[1] != self.n_labels or neigh.shape != (s.shape[0], 4):
+            raise DataError("expected singleton (N, M) and neighbor_labels (N, 4)")
+        if np.any(s < 0):
+            raise DataError("singleton costs must be unsigned")
+        if np.any((neigh < 0) | (neigh > self.n_labels)):
+            raise DataError("neighbor labels out of range (sentinel allowed)")
+        lut = self._padded_lut
+        doubleton = lut[neigh[:, 0]] + lut[neigh[:, 1]] + lut[neigh[:, 2]] + lut[neigh[:, 3]]
+        return self._saturate(s, doubleton)
+
+    def _saturate(self, singleton: np.ndarray, doubleton: np.ndarray) -> np.ndarray:
+        """Weighted sum, output shift and saturation into the register."""
+        total = self.singleton_weight * singleton + self.doubleton_weight * doubleton
         total >>= self.output_shift
         return np.minimum(total, unsigned_max(self.energy_bits)).astype(np.int64)
 

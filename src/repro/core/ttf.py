@@ -78,35 +78,22 @@ class TTFSampler:
         codes = np.asarray(codes)
         if codes.size and codes.min() < 0:
             raise ConfigError("decay-rate codes must be non-negative")
-        cfg = self.config
         # One uniform per lane, active or not: the RET entropy stream is
         # consumed at a fixed per-call rate so every downstream consumer
         # (and the fused kernel) stays aligned with this reference.
         _record_ttf_draw(codes.size)
-        uniforms = self._rng.random(codes.shape)
-        active = codes > 0
-        # Inverse-CDF exponential draw, in units of time bins.  All
-        # float work happens on the compressed active lanes only; the
-        # cut-off lanes never touch log/divide/ceil.
-        rates = codes[active].astype(np.float64) * cfg.lambda0_per_bin
-        continuous = np.log1p(-uniforms[active])
-        np.negative(continuous, out=continuous)
-        continuous /= rates
-        if cfg.float_time:
-            ttf = np.full(codes.shape, np.inf)
-            ttf[active] = continuous
-            return ttf
-        bins = np.ceil(continuous, out=continuous)
-        if cfg.clamp_to_tmax:
-            np.minimum(bins, cfg.time_bins, out=bins)
-        else:
-            bins[bins > cfg.time_bins] = no_sample_bin(cfg)
-        # Build the output int64 directly: inactive lanes are written
-        # once with the cut-off sentinel, active lanes once with their
-        # bin — no second full-array float->int conversion pass.
-        ttf = np.full(codes.shape, cutoff_bin(cfg), dtype=np.int64)
-        ttf[active] = bins
-        return ttf
+        return bins_from_uniforms(self.config, codes, self._rng.random(codes.shape))
+
+    def sample_rows(self, codes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Bins for a block of rows whose uniforms are already drawn.
+
+        Row ``i`` equals what :meth:`sample` returns for ``codes[i:i+1]``
+        when ``uniforms[i]`` is the block it would have drawn from this
+        sampler's generator — the contract of a caller that draws the
+        entropy of many single-row evaluations at once.
+        """
+        _record_ttf_draw(codes.size)
+        return bins_from_uniforms(self.config, codes, uniforms)
 
     def sample_into(
         self, codes: np.ndarray, out: np.ndarray, scratch: SampleScratch
@@ -211,6 +198,40 @@ def _finish_fused_sample(
     out.fill(cutoff_bin(cfg))
     np.place(out, active, bins)
     return out
+
+
+def bins_from_uniforms(
+    config: RSUConfig, codes: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Binned TTFs of integer ``codes`` for pre-drawn ``uniforms``.
+
+    The binning chain of :meth:`TTFSampler.sample` after its draw.
+    Every op is elementwise, so any block of lanes gets the bins those
+    lanes would get on their own, given the same uniforms.
+    """
+    active = codes > 0
+    # Inverse-CDF exponential draw, in units of time bins.  All float
+    # work happens on the compressed active lanes only; the cut-off
+    # lanes never touch log/divide/ceil.
+    rates = codes[active].astype(np.float64) * config.lambda0_per_bin
+    continuous = np.log1p(-uniforms[active])
+    np.negative(continuous, out=continuous)
+    continuous /= rates
+    if config.float_time:
+        ttf = np.full(codes.shape, np.inf)
+        ttf[active] = continuous
+        return ttf
+    bins = np.ceil(continuous, out=continuous)
+    if config.clamp_to_tmax:
+        np.minimum(bins, config.time_bins, out=bins)
+    else:
+        bins[bins > config.time_bins] = no_sample_bin(config)
+    # Build the output int64 directly: inactive lanes are written once
+    # with the cut-off sentinel, active lanes once with their bin — no
+    # second full-array float->int conversion pass.
+    ttf = np.full(codes.shape, cutoff_bin(config), dtype=np.int64)
+    ttf[active] = bins
+    return ttf
 
 
 def bin_probabilities(code: int, config: RSUConfig) -> np.ndarray:

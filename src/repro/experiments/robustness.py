@@ -47,9 +47,10 @@ SPARE_UNITS = 2
 def _stereo_problem(profile: Profile, seed: int):
     """A driver-ready stereo problem at robustness scale.
 
-    The functional device evaluates one variable at a time in Python,
-    so the sweep runs at a reduced scale even under the full profile;
-    the code path is identical at every scale.
+    Every evaluation crosses the command interface (encode, decode,
+    device block, recovery bookkeeping), so the sweep runs at a reduced
+    scale even under the full profile; the code path is identical at
+    every scale.
     """
     scale = 0.2 if profile.name == "quick" else 0.3
     iterations = max(12, profile.stereo_iterations // 4)

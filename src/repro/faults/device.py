@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.params import RSUConfig
 from repro.faults.models import FaultPlan, FaultySPADSampler
-from repro.isa.commands import Command, Evaluate
+from repro.isa.commands import Evaluate
 from repro.isa.device import RSUDevice
 from repro.util.errors import ConfigError, UnrecoverableFaultError
 
@@ -123,36 +123,66 @@ class FaultyRSUDevice(RSUDevice):
         return spare
 
     # -- command execution -------------------------------------------------
-    def execute(self, commands: List[Command], words: int = None) -> List[object]:
-        if self._unit_fault is None:
-            return super().execute(commands, words)
-        before = len(self.responses)
-        for command in commands:
-            if isinstance(command, Evaluate):
-                self._evaluate_on_unit(command)
-            else:
-                self._dispatch(command)
-        if words is not None:
-            self.stats.words_consumed += words
-        return self.responses[before:]
+    def _stripe(self, count: int) -> List[int]:
+        """Units serving the next ``count`` EVALUATEs (round-robin)."""
+        active = self._active_units
+        units = [
+            active[(self._eval_cursor + offset) % len(active)] for offset in range(count)
+        ]
+        self._eval_cursor += count
+        self.unit_trace.extend(units)
+        return units
 
-    def _evaluate_on_unit(self, command: Evaluate) -> None:
-        unit = self._active_units[self._eval_cursor % len(self._active_units)]
-        self._eval_cursor += 1
-        self.unit_trace.append(unit)
-        if unit in self._dead:
-            self._nack(command, unit, "dead")
-            return
+    def _failures(self, units: List[int]) -> List[Optional[str]]:
+        """NACK kind per scheduled unit (``None``: the unit evaluates).
+
+        Dead units always fail; every other unit draws one transient
+        check from the unit-fault generator, in schedule order.
+        """
+        kinds: List[Optional[str]] = [
+            "dead" if unit in self._dead else None for unit in units
+        ]
         rate = self._unit_fault.transient_rate
-        if rate > 0.0 and self._unit_rng.random() < rate:
-            self._nack(command, unit, "transient")
+        if rate > 0.0:
+            checked = [index for index, kind in enumerate(kinds) if kind is None]
+            draws = self._unit_rng.random(len(checked))
+            for index in np.flatnonzero(draws < rate).tolist():
+                kinds[checked[index]] = "transient"
+        return kinds
+
+    def _evaluate_block(
+        self, run: List[Evaluate], sites: np.ndarray, neighbors: np.ndarray
+    ) -> None:
+        if self._unit_fault is None:
+            super()._evaluate_block(run, sites, neighbors)
             return
-        self._evaluate(command)
-        stuck = self._stuck.get(unit)
-        if stuck is not None:
-            # The sampler ran (entropy consumed) but the output latch is
-            # stuck: the reported label never changes.
-            self.responses[-1] = stuck
+        units = self._stripe(len(run))
+        kinds = self._failures(units)
+        live = [index for index, kind in enumerate(kinds) if kind is None]
+        labels = iter(
+            self._sample_block(sites[live], neighbors[live]).tolist() if live else ()
+        )
+        for command, unit, kind in zip(run, units, kinds):
+            if kind is not None:
+                self._nack(command, unit, kind)
+                continue
+            # A stuck unit's sampler still runs (entropy consumed), but
+            # its output latch always reports the stuck label.
+            label = next(labels)
+            self.responses.append(self._stuck.get(unit, label))
+            self.stats.evaluations += 1
+            self.stats.responses += 1
+
+    def _reject(self, command: Evaluate, error: Exception) -> None:
+        """A rejected EVALUATE still takes its unit's schedule slot: a
+        failing unit NACKs it before the error can surface."""
+        if self._unit_fault is None:
+            raise error
+        unit = self._stripe(1)[0]
+        kind = self._failures([unit])[0]
+        if kind is None:
+            raise error
+        self._nack(command, unit, kind)
 
     def _nack(self, command: Evaluate, unit: int, kind: str) -> None:
         self.responses.append(UnitNack(site=command.site, unit=unit, kind=kind))

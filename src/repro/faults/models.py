@@ -165,13 +165,29 @@ class FaultySPADSampler(TTFSampler):
         self._fault_rng = np.random.default_rng(fault.seed)
 
     def sample(self, codes: np.ndarray) -> np.ndarray:
-        ttf = super().sample(codes)
+        return self._inject(np.asarray(codes), super().sample(codes))
+
+    def sample_rows(self, codes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """:meth:`TTFSampler.sample_rows` with faults injected row by row.
+
+        Each row draws its jitter/dead/hot variates as its own
+        single-row :meth:`sample` call would, so the fault schedule
+        stream is the one a row-at-a-time caller sees.
+        """
+        ttf = super().sample_rows(codes, uniforms)
+        if self.fault.is_null:
+            return ttf
+        for row in range(codes.shape[0]):
+            ttf[row : row + 1] = self._inject(codes[row : row + 1], ttf[row : row + 1])
+        return ttf
+
+    def _inject(self, codes: np.ndarray, ttf: np.ndarray) -> np.ndarray:
+        """Apply one sample call's worth of SPAD faults to its bins."""
         if self.fault.is_null:
             return ttf
         if self.config.float_time:
             raise ConfigError("SPAD fault injection requires binned time")
         cfg = self.config
-        codes = np.asarray(codes)
         active = codes > 0
         genuine = active & (ttf <= cfg.time_bins)
         out = ttf.copy()

@@ -53,7 +53,7 @@ from repro.isa.commands import (
     decode_stream,
     encode_stream,
 )
-from repro.isa.device import NEW_UPDATE_BYTES, RSUDevice
+from repro.isa.device import NEW_UPDATE_BYTES, RSUDevice, register_codes
 from repro.isa.driver import RSUDriver
 from repro.util.errors import ConfigError, DataError, UnrecoverableFaultError
 
@@ -485,15 +485,7 @@ class ResilientDriver(RSUDriver):
         ).astype(np.int64)
         boundaries = np.full(NEW_UPDATE_BYTES, 255, dtype=np.int64)
         boundaries[: len(bounds)] = bounds[:NEW_UPDATE_BYTES]
-        scaled = energies - energies.min()
-        codes = np.zeros(m, dtype=np.int64)
-        assigned = np.zeros(m, dtype=bool)
-        code = self.device.config.lambda_max_code
-        for bound in boundaries:
-            hit = ~assigned & (scaled <= bound)
-            codes[hit] = code
-            assigned |= hit
-            code //= 2
+        codes = register_codes(energies, boundaries, self.device.config.lambda_max_code)
         return win_probabilities(codes, self.device.config, self.device.config.tie_policy)
 
     # -- quarantine and fallback -------------------------------------------
@@ -531,25 +523,16 @@ class ResilientDriver(RSUDriver):
             self._fallback_sampler = SoftwareSampler(
                 np.random.default_rng(self._fallback_seed)
             )
-        height, width = self.shape
         m = self.n_labels
         unary_flat = self._unary3d.reshape(-1, m)
         for mask in self._masks:
-            rows, cols = np.nonzero(mask)
-            sites = np.flatnonzero(mask.ravel())
-            neighbors = np.full((len(sites), 4), m, dtype=np.int64)
-            for position, (dy, dx) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-                ny, nx = rows + dy, cols + dx
-                valid = (ny >= 0) & (ny < height) & (nx >= 0) & (nx < width)
-                neighbors[valid, position] = labels[ny[valid], nx[valid]]
-            energies = np.empty((len(sites), m), dtype=np.float64)
-            for label in range(m):
-                energies[:, label] = self._model_datapath.compute(
-                    unary_flat[sites, label],
-                    np.full(len(sites), label, dtype=np.int64),
-                    neighbors,
-                )
-            labels[mask] = self._fallback_sampler.sample(energies, grid_temperature)
+            sites, neighbors, valid = self._neighbor_gather(labels, mask)
+            energies = self._model_datapath.compute_rows(
+                unary_flat[sites], np.where(valid, neighbors, m)
+            )
+            labels[mask] = self._fallback_sampler.sample(
+                energies.astype(np.float64), grid_temperature
+            )
         return labels
 
     # -- reporting -----------------------------------------------------------

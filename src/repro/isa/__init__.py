@@ -31,7 +31,7 @@ from repro.isa.commands import (
     decode_stream,
     encode_stream,
 )
-from repro.isa.device import DeviceStats, RSUDevice
+from repro.isa.device import DeviceStats, RSUDevice, register_codes
 from repro.isa.driver import RSUDriver
 
 __all__ = [
@@ -45,4 +45,5 @@ __all__ = [
     "DeviceStats",
     "RSUDevice",
     "RSUDriver",
+    "register_codes",
 ]

@@ -9,6 +9,14 @@ bit-faithful: energies come from the integer
 against 8-bit boundary registers, and the TTF/selection stages are the
 same models the functional simulator uses.
 
+Each run of consecutive EVALUATE commands executes as one block: one
+energy/conversion pass over its ``(n, M)`` rows, one entropy draw, one
+binning pass and one first-to-fire argmin.  The draw is laid out as the
+per-evaluation stream (``M`` TTF uniforms, then ``M`` tie-break
+uniforms), so responses, counters and generator states equal those of
+a device evaluating one command at a time — including when a command
+mid-run is rejected, which leaves every earlier command executed.
+
 Design variants:
 
 * ``design="new"`` — 4 boundary-byte transfers per temperature update,
@@ -25,7 +33,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.base import select_first_to_fire
+from repro.core.base import first_to_fire_winners
 from repro.core.datapath import EnergyDatapath
 from repro.core.params import RSUConfig
 from repro.core.ttf import TTFSampler
@@ -114,10 +122,24 @@ class RSUDevice:
 
     # -- command execution -------------------------------------------------
     def execute(self, commands: List[Command], words: int = None) -> List[object]:
-        """Run a command list; returns the responses it produced."""
+        """Run a command list; returns the responses it produced.
+
+        Each run of consecutive EVALUATE commands is evaluated as one
+        block (see :meth:`_evaluate_run`); every other command executes
+        on its own, in stream order.
+        """
         before = len(self.responses)
+        run: List[Evaluate] = []
         for command in commands:
+            if isinstance(command, Evaluate):
+                run.append(command)
+                continue
+            if run:
+                self._evaluate_run(run)
+                run = []
             self._dispatch(command)
+        if run:
+            self._evaluate_run(run)
         if words is not None:
             self.stats.words_consumed += words
         return self.responses[before:]
@@ -127,8 +149,6 @@ class RSUDevice:
             self._configure(command)
         elif isinstance(command, SetTemperature):
             self._set_temperature(command)
-        elif isinstance(command, Evaluate):
-            self._evaluate(command)
         elif isinstance(command, ReadStatus):
             self.responses.append(self.stats.snapshot())
             self.stats.responses += 1
@@ -182,50 +202,123 @@ class RSUDevice:
                 self.stats.temperature_updates += 1
 
     def _codes_for(self, energies: np.ndarray) -> np.ndarray:
+        """Decay-rate codes for a block of energy rows."""
         if self.design == "new":
-            if self._boundaries is None:
-                raise ConfigError("SET_TEMPERATURE must precede EVALUATE")
-            scaled = energies - energies.min()
-            codes = np.zeros(len(energies), dtype=np.int64)
-            code = self.config.lambda_max_code
-            assigned = np.zeros(len(energies), dtype=bool)
-            for bound in self._boundaries:
-                mask = ~assigned & (scaled <= bound)
-                codes[mask] = code
-                assigned |= mask
-                code //= 2
-            return codes
-        if self._lut is None:
-            raise ConfigError("SET_TEMPERATURE must precede EVALUATE")
+            return register_codes(energies, self._boundaries, self.config.lambda_max_code)
         return self._lut[np.clip(energies, 0, 255)]
 
-    def _evaluate(self, command: Evaluate) -> None:
-        if self._datapath is None:
-            raise ConfigError("CONFIGURE must precede EVALUATE")
-        if self._unary is None:
-            raise ConfigError("unary memory must be loaded before EVALUATE")
-        if command.site >= self._unary.shape[0]:
-            raise DataError(f"site {command.site} outside the unary memory")
+    def _evaluate_run(self, run: List[Evaluate]) -> None:
+        """Evaluate a run of consecutive EVALUATE commands.
+
+        The run is validated as a whole; each stretch of accepted
+        commands is evaluated as one block, and each rejected command
+        goes to :meth:`_reject` in stream order.  A rejection that
+        raises therefore leaves exactly the state a command-at-a-time
+        device leaves: every earlier command executed (responses,
+        counters, entropy consumed), no later one.
+        """
+        sites, neighbors, rejected = self._check_run(run)
+        start = 0
+        for stop, error in rejected:
+            if stop > start:
+                self._evaluate_block(run[start:stop], sites[start:stop], neighbors[start:stop])
+            self._reject(run[stop], error)
+            start = stop + 1
+        if start < len(run):
+            self._evaluate_block(run[start:], sites[start:], neighbors[start:])
+
+    def _check_run(self, run: List[Evaluate]):
+        """Decode a run's operands and find the commands the device rejects.
+
+        Returns ``(sites, neighbors, rejected)``: neighbour labels are
+        ``(n, 4)`` with the ``M`` sentinel where the valid bit is clear,
+        and ``rejected`` yields ``(index, error)`` in stream order, the
+        error being the first check the command fails.
+        """
+        n = len(run)
+        if self._datapath is None or self._unary is None:
+            message = (
+                "CONFIGURE must precede EVALUATE"
+                if self._datapath is None
+                else "unary memory must be loaded before EVALUATE"
+            )
+            return None, None, ((index, ConfigError(message)) for index in range(n))
         m = self._datapath.n_labels
-        neighbors = np.array(
-            [
-                neighbor if (command.valid_mask >> position) & 1 else m
-                for position, neighbor in enumerate(command.neighbors)
-            ],
-            dtype=np.int64,
-        )
-        if np.any((neighbors < 0) | (neighbors > m)):
-            raise DataError("neighbour label outside the configured label set")
-        singleton = self._unary[command.site]
-        labels = np.arange(m)
-        energies = self._datapath.compute(
-            singleton, labels, np.tile(neighbors, (m, 1))
-        )
+        sites = np.fromiter((c.site for c in run), dtype=np.int64, count=n)
+        fields = np.array([c.neighbors for c in run], dtype=np.int64).reshape(n, 4)
+        valid = np.fromiter((c.valid_mask for c in run), dtype=np.int64, count=n)
+        valid = (valid[:, None] >> np.arange(4)) & 1
+        neighbors = np.where(valid == 1, fields, m)
+        site_bad = sites >= self._unary.shape[0]
+        neighbor_bad = (neighbors > m).any(axis=1)
+        if self._unary.shape[1] != m:
+            # A unary table whose width is not the label count fails the
+            # datapath's operand-shape check on every evaluation.
+            state_error = DataError(
+                "expected singleton (N,), label (N,), neighbor_labels (N, 4)"
+            )
+        elif (self._boundaries if self.design == "new" else self._lut) is None:
+            state_error = ConfigError("SET_TEMPERATURE must precede EVALUATE")
+        else:
+            state_error = None
+
+        def rejected():
+            bad = (site_bad | neighbor_bad) if state_error is None else np.ones(n, bool)
+            for index in np.flatnonzero(bad).tolist():
+                if site_bad[index]:
+                    yield index, DataError(f"site {run[index].site} outside the unary memory")
+                elif neighbor_bad[index]:
+                    yield index, DataError("neighbour label outside the configured label set")
+                else:
+                    yield index, state_error
+
+        return sites, neighbors, rejected()
+
+    def _reject(self, command: Evaluate, error: Exception) -> None:
+        """A rejected EVALUATE: the device raises its error."""
+        raise error
+
+    def _evaluate_block(
+        self, run: List[Evaluate], sites: np.ndarray, neighbors: np.ndarray
+    ) -> None:
+        """Evaluate accepted commands and append one label each."""
+        self.responses.extend(self._sample_block(sites, neighbors).tolist())
+        self.stats.evaluations += len(run)
+        self.stats.responses += len(run)
+
+    def _sample_block(self, sites: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+        """Winning labels of ``n`` evaluations, drawn as one block.
+
+        Per evaluation the entropy stream yields the ``M`` TTF uniforms
+        then (``random`` ties only) the ``M`` tie-break uniforms — one
+        ``(n, 2, M)`` draw (``(n, 1, M)`` for ``first``/``last``) is that
+        stream for ``n`` evaluations in order.
+        """
+        energies = self._datapath.compute_rows(self._unary[sites], neighbors)
         codes = self._codes_for(energies)
-        ttf = self._ttf.sample(codes[None, :])
-        winner = int(
-            select_first_to_fire(ttf, self.config.tie_policy, self._rng)[0]
+        tie_policy = self.config.tie_policy
+        draws = 2 if tie_policy == "random" else 1
+        uniforms = self._rng.random((len(sites), draws, energies.shape[1]))
+        ttf = self._ttf.sample_rows(codes, uniforms[:, 0])
+        return first_to_fire_winners(
+            ttf, tie_policy, uniforms[:, 1] if draws == 2 else None
         )
-        self.responses.append(winner)
-        self.stats.evaluations += 1
-        self.stats.responses += 1
+
+
+def register_codes(
+    energies: np.ndarray, boundaries: np.ndarray, lambda_max_code: int
+) -> np.ndarray:
+    """Decay-rate codes from the new design's boundary registers.
+
+    Each row (last axis) of ``energies`` is shifted by its minimum; an
+    energy takes the code of the first register it does not exceed —
+    ``lambda_max_code`` halved once per register — and code 0 past the
+    last one.
+    """
+    scaled = energies - energies.min(axis=-1, keepdims=True)
+    codes = np.zeros(scaled.shape, dtype=np.int64)
+    # Later (earlier-register) assignments win, so each energy ends up
+    # with the code of the first register it fits under.
+    for index in range(len(boundaries) - 1, -1, -1):
+        codes[scaled <= boundaries[index]] = lambda_max_code >> index
+    return codes

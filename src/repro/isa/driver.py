@@ -28,6 +28,10 @@ from repro.isa.device import LEGACY_UPDATE_BYTES, NEW_UPDATE_BYTES, RSUDevice
 from repro.mrf.model import checkerboard_masks
 from repro.util.errors import ConfigError, DataError
 
+#: Neighbour offsets in EVALUATE field order: up, down, left, right.
+_NEIGHBOR_DY = np.array([-1, 1, 0, 0])
+_NEIGHBOR_DX = np.array([0, 0, -1, 1])
+
 
 class RSUDriver:
     """Runs a grid MRF problem on a device through the command interface.
@@ -107,26 +111,35 @@ class RSUDriver:
         self._send(self.temperature_commands(grid_temperature))
 
     # -- sweeps --------------------------------------------------------------
+    def _neighbor_gather(
+        self, labels: np.ndarray, mask: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sites of a colour class with their four neighbours' labels.
+
+        Returns ``(sites, neighbors, valid)``: flat site indices in
+        row-major order, ``(n, 4)`` neighbour labels in up/down/left/right
+        order (0 off the grid), and the matching ``(n, 4)`` on-grid mask.
+        """
+        height, width = self.shape
+        rows, cols = np.nonzero(mask)
+        ny = rows[:, None] + _NEIGHBOR_DY
+        nx = cols[:, None] + _NEIGHBOR_DX
+        valid = (ny >= 0) & (ny < height) & (nx >= 0) & (nx < width)
+        gathered = labels[np.clip(ny, 0, height - 1), np.clip(nx, 0, width - 1)]
+        neighbors = np.where(valid, gathered, 0).astype(np.int64)
+        return np.flatnonzero(mask.ravel()), neighbors, valid
+
     def _evaluate_commands(
         self, labels: np.ndarray, mask: np.ndarray
     ) -> Tuple[List[Command], np.ndarray]:
-        height, width = self.shape
-        sites = np.flatnonzero(mask.ravel())
-        rows, cols = np.nonzero(mask)
-        commands: List[Command] = []
-        for site, row, col in zip(sites, rows, cols):
-            neighbors = []
-            valid = 0
-            for position, (dy, dx) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-                ny, nx = row + dy, col + dx
-                if 0 <= ny < height and 0 <= nx < width:
-                    neighbors.append(int(labels[ny, nx]))
-                    valid |= 1 << position
-                else:
-                    neighbors.append(0)
-            commands.append(
-                Evaluate(site=int(site), neighbors=tuple(neighbors), valid_mask=valid)
+        sites, neighbors, valid = self._neighbor_gather(labels, mask)
+        valid_masks = valid.astype(np.int64) @ (1 << np.arange(4, dtype=np.int64))
+        commands: List[Command] = [
+            Evaluate(site=site, neighbors=tuple(fields), valid_mask=bits)
+            for site, fields, bits in zip(
+                sites.tolist(), neighbors.tolist(), valid_masks.tolist()
             )
+        ]
         return commands, mask
 
     def sweep(self, labels: np.ndarray, grid_temperature: float) -> np.ndarray:

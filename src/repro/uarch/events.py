@@ -55,10 +55,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.base import first_to_fire_winners
 from repro.core.convert import cached_boundary_table, cached_legacy_lut
 from repro.core.params import RSUConfig
 from repro.core.pipeline import legacy_temperature_stall
-from repro.core.ttf import cutoff_bin, no_sample_bin
+from repro.core.ttf import bins_from_uniforms
 from repro.util.errors import ConfigError
 
 #: Sentinel "minus infinity" for the max-plus recurrences (int64-safe).
@@ -159,24 +160,12 @@ def ttf_bins_from_uniforms(
     :meth:`repro.core.ttf.TTFSampler.sample` lane for lane.
 
     The scalar machines call ``sample(np.array([[code]]))`` once per
-    label; every op past the uniform draw is elementwise, so running the
-    identical op chain over the whole evaluation vector produces the
-    identical bins — provided ``uniforms[i]`` is the very double the
-    scalar call would have drawn (the caller's interleaving contract).
+    label; :func:`repro.core.ttf.bins_from_uniforms` is elementwise, so
+    running it over the whole evaluation vector produces the identical
+    bins — provided ``uniforms[i]`` is the very double the scalar call
+    would have drawn (the caller's interleaving contract).
     """
-    active = codes > 0
-    rates = codes[active].astype(np.float64) * config.lambda0_per_bin
-    continuous = np.log1p(-uniforms[active])
-    np.negative(continuous, out=continuous)
-    continuous /= rates
-    bins = np.ceil(continuous, out=continuous)
-    if config.clamp_to_tmax:
-        np.minimum(bins, config.time_bins, out=bins)
-    else:
-        bins[bins > config.time_bins] = no_sample_bin(config)
-    ttf = np.full(codes.shape, cutoff_bin(config), dtype=np.int64)
-    ttf[active] = bins
-    return ttf
+    return bins_from_uniforms(config, codes, uniforms)
 
 
 def _interleaved_uniforms(
@@ -240,19 +229,12 @@ def _select_winners(
             labels - 1 - np.arange(labels, dtype=np.int64)
         )
         rows = ttf_eval[gather]  # (n_group, M), indexed by label
-        if tie_policy == "first":
-            order = np.broadcast_to(np.arange(labels, dtype=np.int64), rows.shape)
-        elif tie_policy == "last":
-            order = np.broadcast_to(
-                np.arange(labels - 1, -1, -1, dtype=np.int64), rows.shape
-            )
-        else:  # random — the uniform rows the scalar tracker would draw
+        u_rows = None
+        if tie_policy == "random":  # the uniform rows the scalar tracker would draw
             u_rows = sel_pool[
                 sel_starts[jobs_idx][:, None] + np.arange(labels, dtype=np.int64)
             ]
-            order = np.argsort(u_rows, axis=1).astype(np.int64)
-        keys = rows * np.int64(labels) + order
-        winners[jobs_idx] = np.argmin(keys, axis=1)
+        winners[jobs_idx] = first_to_fire_winners(rows, tie_policy, u_rows)
     return winners
 
 

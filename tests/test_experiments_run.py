@@ -140,3 +140,11 @@ class TestEnergyBits:
         assert averages[2] > averages[8] + 5.0  # coarse energies fail
         software = averages["float (software)"]
         assert abs(averages[8] - software) < 10.0  # 8 bits suffices
+
+
+def test_common_mean_type_hints_resolve():
+    import typing
+
+    from repro.experiments import common
+
+    assert typing.get_type_hints(common.mean)["return"] is float
