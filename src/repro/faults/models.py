@@ -175,8 +175,6 @@ class FaultySPADSampler(TTFSampler):
         stream is the one a row-at-a-time caller sees.
         """
         ttf = super().sample_rows(codes, uniforms)
-        if self.fault.is_null:
-            return ttf
         for row in range(codes.shape[0]):
             ttf[row : row + 1] = self._inject(codes[row : row + 1], ttf[row : row + 1])
         return ttf
