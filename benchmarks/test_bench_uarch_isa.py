@@ -1,11 +1,18 @@
 """Benchmarks: structural machine throughput and interface traffic."""
 
+import time
+
 import numpy as np
 from conftest import run_once
 
 from repro.core import legacy_design_config, new_design_config
 from repro.isa import Configure, RSUDevice, RSUDriver
-from repro.uarch import LegacyMachine, NewMachine, jobs_from_energies
+from repro.uarch import (
+    CycleCountingBackend,
+    LegacyMachine,
+    NewMachine,
+    jobs_from_energies,
+)
 
 
 def test_bench_structural_machines(benchmark, bench_profile):
@@ -32,9 +39,7 @@ def test_bench_structural_machines(benchmark, bench_profile):
         ("new", new_design_config(), new),
     ):
         machine_cls = LegacyMachine if design == "legacy" else NewMachine
-        oracle = machine_cls(
-            config, 40.0, np.random.default_rng(1), use_event_driven=False
-        ).run(jobs)
+        oracle = machine_cls(config, 40.0, np.random.default_rng(1))._run_scalar(jobs)
         assert fast.winners == oracle.winners
         assert fast.winner_cycle == oracle.winner_cycle
         assert fast.total_cycles == oracle.total_cycles
@@ -49,13 +54,11 @@ def test_bench_scalar_oracle_machines(benchmark, bench_profile):
 
     def run_both():
         legacy = LegacyMachine(
-            legacy_design_config(), 40.0, np.random.default_rng(1),
-            use_event_driven=False,
-        ).run(jobs)
+            legacy_design_config(), 40.0, np.random.default_rng(1)
+        )._run_scalar(jobs)
         new = NewMachine(
-            new_design_config(), 40.0, np.random.default_rng(1),
-            use_event_driven=False,
-        ).run(jobs)
+            new_design_config(), 40.0, np.random.default_rng(1)
+        )._run_scalar(jobs)
         return legacy, new
 
     legacy, new = run_once(benchmark, run_both)
@@ -85,3 +88,47 @@ def test_bench_interface_traffic(benchmark, bench_profile):
     new_traffic, legacy_traffic = run_once(benchmark, run_both)
     assert legacy_traffic["update_bytes"] == 32 * new_traffic["update_bytes"]
     assert new_traffic["stall_cycles"] == 0
+
+
+class _PerCycleBackend(CycleCountingBackend):
+    """Runs every batch on the machines' per-cycle specification."""
+
+    def _machine_for(self, grid_temperature):
+        machine = super()._machine_for(grid_temperature)
+        machine.run_matrix = lambda quantized: machine._run_scalar(
+            jobs_from_energies(quantized)
+        )
+        return machine
+
+
+def test_event_engine_beats_per_cycle_machines():
+    """A machine-in-the-loop stereo solve (every Gibbs batch through
+    ``NewMachine``): the event-driven engine is cycle-identical to the
+    per-cycle machines and at least 5x faster."""
+    from repro.apps.stereo import StereoParams, build_stereo_mrf
+    from repro.data import load_stereo
+    from repro.mrf import MCMCSolver, geometric_for_span
+
+    params = StereoParams(iterations=10)
+    model = build_stereo_mrf(load_stereo("poster", scale=0.08), params)
+    schedule = geometric_for_span(params.t0, params.t_final, params.iterations)
+
+    def solve(backend_cls):
+        backend = backend_cls(
+            new_design_config(), model.max_energy(), np.random.default_rng(5)
+        )
+        started = time.perf_counter()
+        labels = MCMCSolver(
+            model, backend, schedule, seed=3, track_energy=False
+        ).run(params.iterations).labels
+        return time.perf_counter() - started, labels, backend
+
+    event_s, labels_event, event = solve(CycleCountingBackend)
+    scalar_s, labels_scalar, scalar = solve(_PerCycleBackend)
+    assert np.array_equal(labels_event, labels_scalar)
+    assert event.total_cycles == scalar.total_cycles
+    assert event.batch_cycles == scalar.batch_cycles
+    event_s = min(event_s, solve(CycleCountingBackend)[0])
+    assert scalar_s / event_s >= 5.0, (
+        f"event engine only {scalar_s / event_s:.1f}x faster than per-cycle machines"
+    )

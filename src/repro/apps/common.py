@@ -51,17 +51,13 @@ def make_backend(
     energy_full_scale: float,
     seed: int = 0,
     config: Optional[RSUConfig] = None,
-    use_vectorized: bool = True,
 ) -> SamplerBackend:
     """Construct a sampler backend by name.
 
     ``kind == "rsu"`` requires an explicit :class:`RSUConfig`; the named
-    design points ignore ``config``.  ``use_vectorized`` selects the
-    pseudo-RNG execution engine for the ``cdf_lfsr``/``cdf_mt19937``
-    backends: the default routes draws through the bit-sliced/block
-    paths behind a :class:`BufferedBitSource` prefetcher, ``False``
-    keeps the scalar oracles.  The float stream — and therefore every
-    solve result — is byte-identical either way.
+    design points ignore ``config``.  The ``cdf_lfsr``/``cdf_mt19937``
+    backends draw through the bit-sliced/block pseudo-RNG engines behind
+    a :class:`BufferedBitSource` prefetcher.
     """
     rng = np.random.default_rng(seed)
     if kind == "software":
@@ -79,20 +75,12 @@ def make_backend(
     if kind == "cdf_ideal":
         return CDFSampler(NumpyBitSource(rng), energy_full_scale=energy_full_scale)
     if kind == "cdf_lfsr":
-        source = LFSRBitSource(
-            LFSR(width=19, seed=seed * 2 + 1, use_vectorized=use_vectorized)
-        )
-        if use_vectorized:
-            source = BufferedBitSource(source)
+        source = BufferedBitSource(LFSRBitSource(LFSR(width=19, seed=seed * 2 + 1)))
         return CDFSampler(source, energy_full_scale=energy_full_scale)
     if kind == "cdf_mt19937":
-        source = MTBitSource(
-            MT19937(
-                seed=(seed * 7919 + 1) & 0xFFFFFFFF, use_vectorized=use_vectorized
-            )
+        source = BufferedBitSource(
+            MTBitSource(MT19937(seed=(seed * 7919 + 1) & 0xFFFFFFFF))
         )
-        if use_vectorized:
-            source = BufferedBitSource(source)
         return CDFSampler(source, energy_full_scale=energy_full_scale)
     raise ConfigError(f"unknown backend kind {kind!r}; expected one of {BACKEND_KINDS}")
 

@@ -39,10 +39,7 @@ from repro.core.convert import (
     lambda_codes_lut_into,
     lambda_codes_lut_stacked_into,
     legacy_lut,
-    lut_enabled,
-    set_lut_enabled,
     stacked_conversion_lut,
-    use_lut,
 )
 from repro.core.distance import (
     DISTANCE_KINDS,
@@ -110,9 +107,6 @@ __all__ = [
     "lambda_codes_by_boundaries",
     "lambda_codes_lut",
     "legacy_lut",
-    "lut_enabled",
-    "set_lut_enabled",
-    "use_lut",
     "DISTANCE_KINDS",
     "get_distance",
     "label_distance_matrix",

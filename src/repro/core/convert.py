@@ -20,16 +20,13 @@ per-(temperature, config) conversion collapses to one integer table
 (:func:`conversion_lut`) built with a few hundred ``exp`` calls instead
 of one per (site, label).  :func:`lambda_codes_lut` performs the gather;
 it is bit-identical to :func:`lambda_codes` by construction (the table
-entries are computed by the very same formula) and is the default hot
-path of :meth:`repro.core.rsu.RSUGSampler.codes_for`.  Disable it
-globally with :func:`set_lut_enabled` or lexically with :func:`use_lut`
-(the perf benchmark does this to time both paths).
+entries are computed by the very same formula) and is the only
+conversion path of :class:`repro.core.rsu.RSUGSampler`.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import List
 
@@ -83,33 +80,6 @@ def lambda_codes(
     if config.pow2_lambda:
         codes = nearest_pow2(codes)
     return codes
-
-
-#: Global switch for the memoized-LUT conversion fast path.
-_LUT_ENABLED = True
-
-
-def lut_enabled() -> bool:
-    """Whether samplers should take the memoized-LUT conversion path."""
-    return _LUT_ENABLED
-
-
-def set_lut_enabled(enabled: bool) -> bool:
-    """Set the global LUT switch; returns the previous value."""
-    global _LUT_ENABLED
-    previous = _LUT_ENABLED
-    _LUT_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_lut(enabled: bool):
-    """Scope the LUT switch to a ``with`` block (benchmarks A/B with this)."""
-    previous = set_lut_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_lut_enabled(previous)
 
 
 @lru_cache(maxsize=4096)

@@ -7,11 +7,11 @@ with bit-accurate RSU-G semantics: quantize the energy
 draw a binned exponential TTF (``Time_bits``, ``Truncation``) per
 label, and select the first label to fire.
 
-Two equivalent sampling paths exist: the reference :meth:`~SamplerBackend.sample`
-(allocates its intermediates, the oracle for regressions) and the fused
-:meth:`~SamplerBackend.sample_into` used by the sweep kernel, which
+The reference :meth:`~SamplerBackend.sample` allocates its
+intermediates; the fused :meth:`RSUGSampler.sample_chains_into` used by
+the sweep engine (and :meth:`RSUGSampler.sample_into` for one chain)
 chains quantize -> LUT gather -> TTF -> first-to-fire through reusable
-workspace buffers.  Both are byte-identical, including RNG consumption.
+workspace buffers.  All are byte-identical, including RNG consumption.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core import convert
 from repro.core.base import (
     SamplerBackend,
     SampleScratch,
@@ -31,7 +30,6 @@ from repro.core.base import (
 )
 from repro.core.convert import (
     conversion_lut,
-    lambda_codes,
     lambda_codes_lut,
     lambda_codes_lut_into,
     lambda_codes_lut_stacked_into,
@@ -61,11 +59,11 @@ class RSUGSampler(SamplerBackend):
         Optional replacement for the RET-circuit stage model, e.g. a
         :class:`repro.core.nonideal.NoisyTTFSampler` for failure
         injection.  Defaults to the ideal :class:`TTFSampler`.
-    use_lut:
-        Force the memoized-LUT conversion fast path on (True) or off
-        (False) for this sampler; ``None`` (default) follows the global
-        :func:`repro.core.convert.lut_enabled` switch.  Both paths are
-        bit-identical; the knob exists so benchmarks can time them.
+
+    The λ-conversion always gathers from the memoized
+    :func:`~repro.core.convert.conversion_lut`, which is bit-identical
+    to the direct :func:`~repro.core.convert.lambda_codes` conversion by
+    construction.
     """
 
     name = "rsu"
@@ -76,22 +74,20 @@ class RSUGSampler(SamplerBackend):
         energy_full_scale: float,
         rng: np.random.Generator,
         ttf_sampler: Optional[TTFSampler] = None,
-        use_lut: Optional[bool] = None,
     ):
         self.config = config
         self.energy_stage = EnergyStage(config.energy_bits, energy_full_scale)
         self._ttf = ttf_sampler if ttf_sampler is not None else TTFSampler(config, rng)
         self._rng = rng
-        self.use_lut = use_lut
         # The fused path may only shortcut the TTF stage when the ideal
         # sampler semantics apply; a replacement stage (noise injection,
         # fault models) overriding ``sample`` must keep its own path.
         self._ttf_fusable = type(self._ttf).sample is TTFSampler.sample
-        # Per-(temperature, lut-switch) stage constants, hoisted out of
-        # the per-colour-class loop: one annealing step touches the
-        # quantized temperature and conversion table twice (once per
-        # checkerboard class) with identical values.
-        self._stage_cache: Optional[Tuple[float, bool, float, Optional[np.ndarray]]] = None
+        # Per-temperature stage constants, hoisted out of the
+        # per-colour-class loop: one annealing step touches the quantized
+        # temperature and conversion table twice (once per checkerboard
+        # class) with identical values.
+        self._stage_cache: Optional[Tuple[float, float, np.ndarray]] = None
 
     def getstate(self) -> dict:
         """Snapshot the selection rng and the TTF stage's entropy stream.
@@ -106,25 +102,21 @@ class RSUGSampler(SamplerBackend):
         set_generator_state(self._rng, state["rng"])
         self._ttf.setstate(state["ttf"])
 
-    def _stage_constants(self, temperature: float) -> Tuple[float, Optional[np.ndarray]]:
-        """(grid temperature, conversion table or None) for this call."""
-        lut = self.use_lut if self.use_lut is not None else convert.lut_enabled()
+    def _stage_constants(self, temperature: float) -> Tuple[float, np.ndarray]:
+        """(grid temperature, conversion table) for this call."""
         cached = self._stage_cache
-        if cached is not None and cached[0] == temperature and cached[1] == lut:
-            return cached[2], cached[3]
+        if cached is not None and cached[0] == temperature:
+            return cached[1], cached[2]
         t_grid = self.energy_stage.quantized_temperature(temperature)
-        table = conversion_lut(t_grid, self.config) if lut else None
-        self._stage_cache = (temperature, lut, t_grid, table)
+        table = conversion_lut(t_grid, self.config)
+        self._stage_cache = (temperature, t_grid, table)
         return t_grid, table
 
     def codes_for(self, energies: np.ndarray, temperature: float) -> np.ndarray:
         """Decay-rate codes the unit would use (exposed for analysis)."""
         quantized = self.energy_stage.quantize(energies)
         t_grid = self.energy_stage.quantized_temperature(temperature)
-        lut = self.use_lut if self.use_lut is not None else convert.lut_enabled()
-        if lut:
-            return lambda_codes_lut(quantized, t_grid, self.config)
-        return lambda_codes(quantized, t_grid, self.config)
+        return lambda_codes_lut(quantized, t_grid, self.config)
 
     def _sample_batch(self, energies: np.ndarray, temperature: float) -> np.ndarray:
         codes = self.codes_for(energies, temperature)
@@ -140,12 +132,10 @@ class RSUGSampler(SamplerBackend):
     ) -> np.ndarray:
         """Fused RSU pipeline through workspace buffers (byte-identical).
 
-        quantize -> (LUT gather | direct conversion) -> TTF -> select,
-        with zero steady-state allocations on the default LUT path.  The
-        direct (``use_lut`` off) conversion keeps calling
-        :func:`lambda_codes` — it exists for A/B timing, not speed — and
-        a replaced TTF stage (e.g. noise injection) falls back to the
-        reference path wholesale so its semantics are preserved.
+        quantize -> LUT gather -> TTF -> select, with zero steady-state
+        allocations beyond the gather results.  A replaced TTF stage
+        (e.g. noise injection) falls back to the reference path
+        wholesale so its semantics are preserved.
         """
         if not self._ttf_fusable:
             return super().sample_into(energies, temperature, out, scratch)
@@ -156,17 +146,14 @@ class RSUGSampler(SamplerBackend):
         check_positive("temperature", temperature)
         record_sampler_batch(energies.shape[0])
         temperature = float(temperature)
-        t_grid, table = self._stage_constants(temperature)
+        _, table = self._stage_constants(temperature)
         shape = energies.shape
         work = scratch.buf("rsu_quantize_work", shape, np.float64)
         quantized = scratch.buf("rsu_quantized", shape, np.int64)
         self.energy_stage.quantize_into(energies, quantized, work)
         codes = scratch.buf("rsu_codes", shape, np.int64)
-        if table is not None:
-            row_min = scratch.buf("rsu_row_min", (shape[0], 1), np.int64)
-            lambda_codes_lut_into(quantized, table, self.config, codes, row_min)
-        else:
-            np.copyto(codes, lambda_codes(quantized, t_grid, self.config))
+        row_min = scratch.buf("rsu_row_min", (shape[0], 1), np.int64)
+        lambda_codes_lut_into(quantized, table, self.config, codes, row_min)
         ttf = scratch.buf("rsu_ttf", shape, self._ttf_dtype(shape[1]))
         self._ttf.sample_into(codes, ttf, scratch)
         return select_first_to_fire_into(
@@ -207,17 +194,17 @@ class RSUGSampler(SamplerBackend):
         rest.  Byte-identical to K sequential :meth:`sample_into` calls.
 
         Chains whose design points differ — different config, energy
-        stage, replaced TTF stage, or mixed LUT switches — fall back to
-        the base per-chain loop, which is byte-identical by the
-        :meth:`sample_into` contract.
+        stage or replaced TTF stage — fall back to the base per-chain
+        loop, which is byte-identical by the :meth:`sample_into`
+        contract.  A single chain (one solve) skips the comparison.
         """
         first = samplers[0]
-        compatible = all(
+        compatible = first._ttf_fusable and all(
             sampler._ttf_fusable
             and sampler.config == first.config
             and sampler.energy_stage == first.energy_stage
             and sampler._ttf.config == first._ttf.config
-            for sampler in samplers
+            for sampler in samplers[1:]
         )
         if not compatible:
             return super().sample_chains_into(
@@ -227,18 +214,10 @@ class RSUGSampler(SamplerBackend):
             raise DataError(
                 f"energies must be (chains, n_sites, n_labels), got shape {energies.shape}"
             )
-        for temperature in temperatures:
+        constants = []
+        for sampler, temperature in zip(samplers, temperatures):
             check_positive("temperature", temperature)
-        constants = [
-            sampler._stage_constants(float(temperature))
-            for sampler, temperature in zip(samplers, temperatures)
-        ]
-        if len({table is None for _, table in constants}) > 1:
-            # Mixed per-sampler LUT switches: no single batched gather
-            # reproduces both paths; the per-chain loop does.
-            return super().sample_chains_into(
-                samplers, energies, temperatures, out, scratch
-            )
+            constants.append(sampler._stage_constants(float(temperature)))
         shape = energies.shape
         flat_rows = shape[0] * shape[1]
         record_sampler_batch(flat_rows)
@@ -246,30 +225,26 @@ class RSUGSampler(SamplerBackend):
         quantized = scratch.buf("rsu_quantized", shape, np.int64)
         first.energy_stage.quantize_into(energies, quantized, work)
         codes = scratch.buf("rsu_codes", shape, np.int64)
-        t_grids = [t_grid for t_grid, _ in constants]
-        if constants[0][1] is not None:
-            row_min = scratch.buf("rsu_row_min", (flat_rows, 1), np.int64)
-            if all(t_grid == t_grids[0] for t_grid in t_grids):
-                # One grid temperature (multi-seed ensembles): every
-                # chain gathers from the same memoized table, so the
-                # whole block flattens to one 2-D gather.
-                lambda_codes_lut_into(
-                    quantized.reshape(flat_rows, shape[2]),
-                    constants[0][1],
-                    first.config,
-                    codes.reshape(flat_rows, shape[2]),
-                    row_min,
-                )
-            else:
-                table = stacked_conversion_lut(t_grids, first.config)
-                lambda_codes_lut_stacked_into(
-                    quantized, table, first.config, codes, row_min
-                )
+        row_min = scratch.buf("rsu_row_min", (flat_rows, 1), np.int64)
+        t_grid, table = constants[0]
+        if all(other == t_grid for other, _ in constants[1:]):
+            # One grid temperature (a single solve, multi-seed
+            # ensembles): every chain gathers from the same memoized
+            # table, so the whole block flattens to one 2-D gather.
+            lambda_codes_lut_into(
+                quantized.reshape(flat_rows, shape[2]),
+                table,
+                first.config,
+                codes.reshape(flat_rows, shape[2]),
+                row_min,
+            )
         else:
-            for index, t_grid in enumerate(t_grids):
-                np.copyto(
-                    codes[index], lambda_codes(quantized[index], t_grid, first.config)
-                )
+            table = stacked_conversion_lut(
+                [t_grid for t_grid, _ in constants], first.config
+            )
+            lambda_codes_lut_stacked_into(
+                quantized, table, first.config, codes, row_min
+            )
         ttf = scratch.buf("rsu_ttf", shape, first._ttf_dtype(shape[2]))
         TTFSampler.sample_chains_into(
             [sampler._ttf for sampler in samplers], codes, ttf, scratch

@@ -7,7 +7,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.apps.stereo import StereoParams, StereoResult
 from repro.core.params import RSUConfig
-from repro.data.stereo_data import PAPER_STEREO_NAMES, StereoDataset, load_stereo
+from repro.data.stereo_data import PAPER_STEREO_NAMES
 from repro.experiments.engine import get_engine, solve_task
 from repro.experiments.profiles import Profile
 
@@ -29,11 +29,6 @@ def stereo_suite_specs(profile: Profile, sweep: bool = False) -> List[dict]:
     """
     scale = profile.sweep_scale if sweep else profile.stereo_scale
     return [{"name": name, "scale": scale} for name in PAPER_STEREO_NAMES]
-
-
-def load_stereo_suite(profile: Profile, sweep: bool = False) -> List[StereoDataset]:
-    """The three stereo datasets at the profile's scale (loaded)."""
-    return [load_stereo(**spec) for spec in stereo_suite_specs(profile, sweep)]
 
 
 def run_stereo_backends(

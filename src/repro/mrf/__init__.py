@@ -15,7 +15,6 @@ from repro.mrf.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.mrf.kernel import SweepWorkspace
 from repro.mrf.model import GridMRF, checkerboard_masks, coloring_masks
 from repro.mrf.solver import MCMCSolver, SolveResult
 from repro.mrf.tempering import (
@@ -37,7 +36,6 @@ __all__ = [
     "coloring_masks",
     "MCMCSolver",
     "SolveResult",
-    "SweepWorkspace",
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointWriter",
     "SolveCheckpoint",

@@ -7,7 +7,9 @@ odd sites), then all odd sites.  The per-site categorical draw is
 delegated to a :class:`~repro.core.base.SamplerBackend`, so the same
 solver runs the float software baseline, either RSU-G design, or a
 pseudo-RNG unit — exactly how the paper's functional simulator swaps
-the sampling inner loop.
+the sampling inner loop.  The sweeps run on the chain-batched
+:class:`~repro.mrf.kernel.BatchedSweepWorkspace`, with one solve as its
+K=1 case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.mrf.checkpoint import (
     SolveCheckpoint,
     resolve_checkpoint,
 )
-from repro.mrf.kernel import SweepWorkspace
+from repro.mrf.kernel import BatchedSweepWorkspace
 from repro.mrf.model import GridMRF, coloring_masks
 from repro.obs import telemetry as obs
 from repro.rng.streams import generator_state, set_generator_state
@@ -72,12 +74,6 @@ class MCMCSolver:
     track_energy:
         Record the total energy after every sweep.  Costs one full
         energy evaluation per iteration; disable for benchmarks.
-    use_fused:
-        Run :meth:`run`'s sweeps through the fused allocation-free
-        kernel (:class:`repro.mrf.kernel.SweepWorkspace`, the default).
-        ``False`` keeps the reference per-sweep pipeline — byte-identical
-        by contract (``tests/test_mrf_kernel.py`` enforces it), retained
-        as the oracle and for A/B benchmarking.
     """
 
     def __init__(
@@ -88,25 +84,23 @@ class MCMCSolver:
         init: object = "unary",
         seed: int = 0,
         track_energy: bool = True,
-        use_fused: bool = True,
     ):
         self.model = model
         self.sampler = sampler
         self.schedule = schedule
         self.track_energy = track_energy
-        self.use_fused = use_fused
         self._rng = np.random.default_rng(seed)
         self._masks = coloring_masks(model.shape, model.connectivity)
         self._init = init
-        self._workspace: Optional[SweepWorkspace] = None
-        # Resolved once: sweep() runs twice per iteration on the hot path.
+        self._workspace: Optional[BatchedSweepWorkspace] = None
+        # Resolved once per solver instead of once per sweep.
         self._wants_current = bool(getattr(sampler, "wants_current_labels", False))
 
     @property
-    def workspace(self) -> SweepWorkspace:
-        """The solver's fused sweep workspace (created on first use)."""
+    def workspace(self) -> BatchedSweepWorkspace:
+        """The solver's K=1 sweep workspace (created on first use)."""
         if self._workspace is None:
-            self._workspace = SweepWorkspace(self.model, self._masks)
+            self._workspace = BatchedSweepWorkspace(self.model, self._masks, 1)
         return self._workspace
 
     def initial_labels(self) -> np.ndarray:
@@ -131,20 +125,23 @@ class MCMCSolver:
     def sweep(self, labels: np.ndarray, temperature: float) -> np.ndarray:
         """One full checkerboard sweep, in place; returns ``labels``.
 
-        Backends that set ``wants_current_labels`` (e.g. the
-        Metropolis-Hastings samplers, whose proposal is relative to the
-        current state) receive the sites' current labels through
-        ``sample_given_current``.
+        ``labels`` must be a C-contiguous ``(H, W)`` grid; it is bound
+        to the workspace as an aliasing ``(1, H, W)`` view, so the
+        sweep writes straight into it.  Backends that set
+        ``wants_current_labels`` (e.g. the Metropolis-Hastings samplers,
+        whose proposal is relative to the current state) receive the
+        sites' current labels through ``sample_given_current``.
         """
-        for mask in self._masks:
-            energies = self.model.site_energies(labels, mask)
-            if self._wants_current:
-                labels[mask] = self.sampler.sample_given_current(
-                    energies, temperature, labels[mask]
-                )
-            else:
-                labels[mask] = self.sampler.sample(energies, temperature)
+        stacked = labels[np.newaxis]
+        # The caller may have changed the labels since the last sweep.
+        self.workspace.bind(stacked)
+        self._sweep(stacked, temperature)
         return labels
+
+    def _sweep(self, stacked: np.ndarray, temperature: float) -> None:
+        self.workspace.sweep(
+            stacked, [temperature], [self.sampler], [self._wants_current]
+        )
 
     def snapshot(self, sweep: int, labels: np.ndarray, result: SolveResult) -> SolveCheckpoint:
         """Resumable checkpoint after ``sweep`` completed sweeps.
@@ -228,25 +225,19 @@ class MCMCSolver:
             start = 0
             labels = self.initial_labels()
             result = SolveResult(labels=labels)
-        workspace = self.workspace if self.use_fused else None
-        if workspace is not None:
-            workspace.bind(labels)
+        # The (H, W) grid as an aliasing (1, H, W) view: the K=1 sweeps
+        # write straight into ``labels``.
+        stacked = labels[np.newaxis]
+        self.workspace.bind(stacked)
         tel = obs.active()
         prev_labels = labels.copy() if tel is not None else None
         for k in range(start, iterations):
             temperature = self.schedule.temperature(k)
             if tel is not None:
                 with tel.span("solver.sweep"):
-                    if workspace is not None:
-                        workspace.sweep(
-                            labels, temperature, self.sampler, self._wants_current
-                        )
-                    else:
-                        self.sweep(labels, temperature)
-            elif workspace is not None:
-                workspace.sweep(labels, temperature, self.sampler, self._wants_current)
+                    self._sweep(stacked, temperature)
             else:
-                self.sweep(labels, temperature)
+                self._sweep(stacked, temperature)
             result.temperature_history.append(temperature)
             if self.track_energy:
                 result.energy_history.append(self.model.total_energy(labels))
@@ -264,10 +255,9 @@ class MCMCSolver:
                     tel.set_gauge("solver.energy", result.energy_history[-1])
             if callback is not None:
                 callback(k, labels, temperature)
-                if workspace is not None:
-                    # The callback may have mutated the labels it was
-                    # handed; resynchronize the padded mirror.
-                    workspace.bind(labels)
+                # The callback may have mutated the labels it was
+                # handed; resynchronize the padded mirror.
+                self.workspace.bind(stacked)
             writer.maybe_emit(k + 1, lambda: self.snapshot(k + 1, labels, result))
         result.labels = labels
         return result

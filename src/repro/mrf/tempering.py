@@ -12,15 +12,15 @@ an independent sampler backend, so tempering runs identically on the
 software baseline or on RSU-G hardware models (one RSU-G per replica —
 exactly the multi-unit layouts of Sec. IV-B.6).
 
-The replica ladder is the canonical batched-chain workload: by default
-the whole ladder sweeps through one
-:class:`~repro.mrf.batch.BatchedSweepWorkspace` (all replicas stacked
+The replica ladder is the canonical batched-chain workload: the whole
+ladder sweeps through one
+:class:`~repro.mrf.kernel.BatchedSweepWorkspace` (all replicas stacked
 into a ``(K, H, W)`` tensor, one fused dispatch per colour class), and
-the swap rounds draw their uniforms as one block per round.
-``use_batched=False`` keeps the replicas on K sequential fused
-workspaces; both paths are byte-identical — same labels, same energy
-histories, same swap decisions, same consumption of every RNG stream —
-which ``tests/test_mrf_batch.py`` enforces.
+the swap rounds draw their uniforms as one block per round.  The result
+is byte-identical — same labels, same energy histories, same swap
+decisions, same consumption of every RNG stream — to K independent
+reference chains with per-pair scalar swap draws, which
+``tests/test_mrf_batch.py`` checks against ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,18 +28,18 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from repro.core.base import SamplerBackend
 from repro.mrf.annealing import ConstantSchedule
-from repro.mrf.batch import BatchedSweepWorkspace
 from repro.mrf.checkpoint import (
     CheckpointWriter,
     SolveCheckpoint,
     resolve_checkpoint,
 )
+from repro.mrf.kernel import BatchedSweepWorkspace
 from repro.mrf.model import GridMRF, coloring_masks
 from repro.mrf.solver import MCMCSolver
 from repro.obs import telemetry as obs
@@ -107,11 +107,6 @@ class ParallelTempering:
         Ladder, coldest first; must be strictly increasing.
     swap_interval:
         Sweeps between swap rounds.
-    use_batched:
-        Sweep the whole ladder through one
-        :class:`~repro.mrf.batch.BatchedSweepWorkspace` (the default).
-        ``False`` runs K sequential fused workspaces — byte-identical
-        by contract, retained as the oracle and for A/B benchmarking.
     """
 
     def __init__(
@@ -121,7 +116,6 @@ class ParallelTempering:
         temperatures: Sequence[float],
         swap_interval: int = 1,
         seed: int = 0,
-        use_batched: bool = True,
     ):
         temps = list(temperatures)
         if len(temps) < 2:
@@ -135,7 +129,6 @@ class ParallelTempering:
         self.model = model
         self.temperatures = temps
         self.swap_interval = swap_interval
-        self.use_batched = use_batched
         self._rng = np.random.default_rng(seed)
         self._solvers = [
             MCMCSolver(
@@ -156,8 +149,7 @@ class ParallelTempering:
 
         Captures every replica's label grid (chain-stacked), the swap
         generator, each replica's solver and sampler RNG state, and the
-        swap bookkeeping — the complete state both the batched and the
-        sequential run paths consume.
+        swap bookkeeping — the complete state a run consumes.
         """
         return SolveCheckpoint(
             kind="tempering",
@@ -230,103 +222,12 @@ class ParallelTempering:
         ``checkpoint_every=N`` snapshots the ladder every N sweeps to
         ``checkpoint_path`` / ``checkpoint_sink``; ``resume`` accepts a
         ``tempering`` :class:`~repro.mrf.checkpoint.SolveCheckpoint` (or
-        a path) and continues byte-identically on either run path.
+        a path) and continues byte-identically.
         """
         if sweeps < 1:
             raise ConfigError("sweeps must be >= 1")
         writer = CheckpointWriter(checkpoint_every, checkpoint_path, checkpoint_sink)
         checkpoint = resolve_checkpoint(resume, "tempering")
-        if self.use_batched:
-            return self._run_batched(sweeps, writer, checkpoint)
-        return self._run_sequential(sweeps, writer, checkpoint)
-
-    def _swap_round(
-        self, sweep_index: int, energies: List[float], result: TemperingResult
-    ) -> List[int]:
-        """Decide one round of adjacent-pair swaps; returns accepted indices.
-
-        Alternates even/odd pair alignment across rounds.  The round's
-        uniforms come from one block draw — bit-identical values and
-        generator state to the per-pair scalar draws they replace — but
-        each comparison stays scalar ``math.log`` (``math.log`` and
-        ``np.log`` differ in the last ulp on some platforms, and the
-        sequential oracle uses the former).
-        """
-        start = (sweep_index // self.swap_interval) % 2
-        pairs = list(range(start, len(self.temperatures) - 1, 2))
-        accepted: List[int] = []
-        if not pairs:
-            return accepted
-        draws = self._rng.random(len(pairs))
-        for j, i in enumerate(pairs):
-            result.swap_attempts += 1
-            log_alpha = swap_log_alpha(
-                self.temperatures[i],
-                self.temperatures[i + 1],
-                energies[i],
-                energies[i + 1],
-            )
-            if math.log(draws[j] + 1e-300) < min(0.0, log_alpha):
-                energies[i], energies[i + 1] = energies[i + 1], energies[i]
-                result.swaps_accepted += 1
-                accepted.append(i)
-        tel = obs.active()
-        if tel is not None:
-            tel.inc("tempering.swap_attempts", len(pairs))
-            tel.inc("tempering.swaps_accepted", len(accepted))
-        return accepted
-
-    def _run_sequential(
-        self,
-        sweeps: int,
-        writer: Optional[CheckpointWriter] = None,
-        checkpoint: Optional[SolveCheckpoint] = None,
-    ) -> TemperingResult:
-        if checkpoint is not None:
-            start, stacked, result = self._restore(checkpoint, sweeps)
-            states = [np.ascontiguousarray(stacked[k]) for k in range(len(self._solvers))]
-            result.labels = states[0]
-        else:
-            start = 0
-            states = [solver.initial_labels() for solver in self._solvers]
-            result = TemperingResult(
-                labels=states[0], temperatures=self.temperatures, energy_history=[]
-            )
-        for solver, labels in zip(self._solvers, states):
-            solver.workspace.bind(labels)
-        tel = obs.active()
-        for sweep_index in range(start, sweeps):
-            energies = []
-            with tel.span("tempering.sweep") if tel is not None else nullcontext():
-                for solver, temperature, labels in zip(
-                    self._solvers, self.temperatures, states
-                ):
-                    # The workspace rebinds automatically when a swap handed
-                    # this replica a different label array.
-                    solver.workspace.sweep(
-                        labels, temperature, solver.sampler, solver._wants_current
-                    )
-                    energies.append(self.model.total_energy(labels))
-            if tel is not None:
-                tel.inc("tempering.sweeps", 1)
-            if (sweep_index + 1) % self.swap_interval == 0:
-                for i in self._swap_round(sweep_index, energies, result):
-                    states[i], states[i + 1] = states[i + 1], states[i]
-            result.energy_history.append(energies)
-            if writer is not None:
-                writer.maybe_emit(
-                    sweep_index + 1,
-                    lambda: self.snapshot(sweep_index + 1, np.stack(states), result),
-                )
-        result.labels = states[0]
-        return result
-
-    def _run_batched(
-        self,
-        sweeps: int,
-        writer: Optional[CheckpointWriter] = None,
-        checkpoint: Optional[SolveCheckpoint] = None,
-    ) -> TemperingResult:
         chains = len(self._solvers)
         if checkpoint is not None:
             start, states, result = self._restore(checkpoint, sweeps)
@@ -361,23 +262,48 @@ class ParallelTempering:
                     # resynchronize wholesale before the next sweep.
                     workspace.bind(states)
             result.energy_history.append(energies)
-            if writer is not None:
-                writer.maybe_emit(
-                    sweep_index + 1,
-                    lambda: self.snapshot(sweep_index + 1, states, result),
-                )
+            writer.maybe_emit(
+                sweep_index + 1,
+                lambda: self.snapshot(sweep_index + 1, states, result),
+            )
         result.labels = states[0].copy()
         return result
 
-    def _accept_swap(self, energy_cold: float, energy_hot: float, index: int) -> bool:
-        """Single-pair acceptance (kept for direct testing)."""
-        log_alpha = swap_log_alpha(
-            self.temperatures[index],
-            self.temperatures[index + 1],
-            energy_cold,
-            energy_hot,
-        )
-        return math.log(self._rng.random() + 1e-300) < min(0.0, log_alpha)
+    def _swap_round(
+        self, sweep_index: int, energies: List[float], result: TemperingResult
+    ) -> List[int]:
+        """Decide one round of adjacent-pair swaps; returns accepted indices.
+
+        Alternates even/odd pair alignment across rounds.  The round's
+        uniforms come from one block draw — bit-identical values and
+        generator state to per-pair scalar draws — but each comparison
+        stays scalar ``math.log`` (``math.log`` and ``np.log`` differ in
+        the last ulp on some platforms, and the reference chains in
+        ``tests/oracles.py`` use the former).
+        """
+        start = (sweep_index // self.swap_interval) % 2
+        pairs = list(range(start, len(self.temperatures) - 1, 2))
+        accepted: List[int] = []
+        if not pairs:
+            return accepted
+        draws = self._rng.random(len(pairs))
+        for j, i in enumerate(pairs):
+            result.swap_attempts += 1
+            log_alpha = swap_log_alpha(
+                self.temperatures[i],
+                self.temperatures[i + 1],
+                energies[i],
+                energies[i + 1],
+            )
+            if math.log(draws[j] + 1e-300) < min(0.0, log_alpha):
+                energies[i], energies[i + 1] = energies[i + 1], energies[i]
+                result.swaps_accepted += 1
+                accepted.append(i)
+        tel = obs.active()
+        if tel is not None:
+            tel.inc("tempering.swap_attempts", len(pairs))
+            tel.inc("tempering.swaps_accepted", len(accepted))
+        return accepted
 
 
 def geometric_ladder(t_cold: float, t_hot: float, replicas: int) -> List[float]:

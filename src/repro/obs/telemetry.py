@@ -17,9 +17,9 @@ process-wide ambient instance through :func:`active`, which returns
 ``None`` unless someone called :func:`enable` (or entered
 :func:`use_telemetry`).  The disabled path is therefore a single module
 read plus an ``is None`` check per instrumentation site — no objects,
-no dict lookups, no clock reads — which is what keeps the fused-sweep
-and batched-chains hot loops within their 2% overhead bound (the
-``telemetry`` lane of ``benchmarks/test_bench_perf.py`` asserts it).
+no dict lookups, no clock reads — which is what keeps the sweep hot
+loop within its 2% overhead bound (``tests/test_obs_integration.py``
+asserts it).
 
 Snapshots are plain JSON-serializable dicts (:meth:`Telemetry.snapshot`)
 and merge associatively (:meth:`Telemetry.merge`), so worker processes
@@ -131,8 +131,8 @@ class Telemetry:
     convention is dotted ``layer.metric`` (``solver.flips``,
     ``entropy.uniforms`` — see docs/observability.md for the catalogue).
     ``ops`` counts every recording operation performed while enabled;
-    the perf bench uses it to bound what the *disabled* path would have
-    paid in ``active()`` checks.
+    the tests use it to bound what the *disabled* path would have paid
+    in ``active()`` checks.
     """
 
     def __init__(self, max_span_events: int = DEFAULT_MAX_SPAN_EVENTS):

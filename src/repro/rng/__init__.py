@@ -3,7 +3,8 @@
 The paper compares the RSU-G against pure-CMOS sampling units built on a
 19-bit LFSR, a Mersenne Twister (mt19937), and Intel's DRNG (Table IV).
 This package implements the two pseudo-RNGs from scratch — each with a
-scalar oracle and a byte-identical vectorized block path — plus a common
+vectorized block engine, byte-identical to the scalar reference
+algorithm (kept in ``tests/oracles.py``) — plus a common
 :class:`BitSource` protocol used by the inverse-CDF sampler backend in
 :mod:`repro.core.cdf_sampler`, a :class:`BufferedBitSource` block
 prefetcher, and GF(2) jump-ahead machinery (:mod:`repro.rng.gf2`) for

@@ -6,18 +6,21 @@ The paper's most aggressive pseudo-RNG baseline is a 19-bit LFSR
 short period" as a quality risk for applications beyond the three it
 evaluates.
 
-Two execution paths produce the *same* bit stream:
+Two execution paths produce the *same* bit stream, selected by the
+request size:
 
-* the **scalar oracle** — :meth:`LFSR.step` one clock at a time, kept
-  alive behind ``use_vectorized=False`` and used by the byte-identity
-  regressions;
-* the **bit-sliced block path** (the default) — the register's GF(2)
+* the **scalar path** — :meth:`LFSR.step` one clock at a time, for
+  requests under ``_VECTOR_MIN_BITS`` bits, where it beats the block
+  engine's lane-placement setup;
+* the **bit-sliced block path** — the register's GF(2)
   transition matrix (:mod:`repro.rng.gf2`) jump-ahead places ``64·S``
   lane phases of the register, the lanes are transposed into ``width``
   bit planes (one uint64 word per 64 lanes), and each vectorized step
   advances *all* lanes one clock with a handful of packed XOR word ops
   while emitting one pre-packed 64-bit output word per plane word.
   Identical output bits, orders of magnitude fewer Python operations.
+  ``tests/test_rng_vectorized.py`` checks it against an all-scalar
+  register from ``tests/oracles.py``.
 
 Jump-ahead is public: :meth:`LFSR.jump` advances ``k`` steps in
 ``O(w² log k)``, and :meth:`LFSR.spawn` derives ``n`` deterministic
@@ -51,7 +54,7 @@ TAPS_BY_WIDTH = {
 }
 
 #: Below this many requested bits the scalar loop beats the block
-#: engine's lane-placement setup, so ``bits`` routes to the oracle.
+#: engine's lane-placement setup, so ``bits`` steps the register.
 _VECTOR_MIN_BITS = 256
 
 #: Upper bound on 64-lane superwords per block call (2**15 lanes): more
@@ -73,19 +76,9 @@ class LFSR:
     taps:
         Optional explicit tap positions (1-indexed, position ``width`` is
         the oldest bit).
-    use_vectorized:
-        Route :meth:`bits`/:meth:`words`/:meth:`uniforms` through the
-        bit-sliced block engine (byte-identical to the scalar path).
-        ``False`` keeps every draw on the scalar oracle.
     """
 
-    def __init__(
-        self,
-        width: int = 19,
-        seed: int = 1,
-        taps: tuple = (),
-        use_vectorized: bool = True,
-    ):
+    def __init__(self, width: int = 19, seed: int = 1, taps: tuple = ()):
         if width < 2:
             raise ConfigError(f"LFSR width must be >= 2, got {width}")
         if not taps:
@@ -98,7 +91,6 @@ class LFSR:
             raise ConfigError(f"taps {taps} out of range for width {width}")
         self.width = width
         self.taps = tuple(taps)
-        self.use_vectorized = bool(use_vectorized)
         self._mask = (1 << width) - 1
         self._step_matrix = gf2.lfsr_step_matrix(width, self.taps)
         state = seed & self._mask
@@ -121,9 +113,7 @@ class LFSR:
 
         The register contents are the entire state; width/taps are
         included so :meth:`setstate` can refuse a snapshot taken from a
-        differently configured register.  ``use_vectorized`` is a
-        config switch, not stream state: snapshots move freely between
-        scalar and vectorized registers.
+        differently configured register.
         """
         return {"kind": "lfsr", "width": self.width, "taps": self.taps,
                 "state": self._state}
@@ -196,8 +186,7 @@ class LFSR:
         for index in range(n):
             if index:
                 state = gf2.advance_state(self._step_matrix, state, stride)
-            child = LFSR(self.width, seed=1, taps=self.taps,
-                         use_vectorized=self.use_vectorized)
+            child = LFSR(self.width, seed=1, taps=self.taps)
             child._state = state
             children.append(child)
         return children
@@ -205,22 +194,16 @@ class LFSR:
     def bits(self, count: int) -> np.ndarray:
         """Return the next ``count`` output bits as a uint8 array.
 
-        Routed through the bit-sliced block engine when vectorization is
-        on and the request is large enough to amortize lane placement;
-        the stream (and the register state afterwards) is identical
-        either way.
+        Routed through the bit-sliced block engine when the request is
+        large enough to amortize lane placement; the stream (and the
+        register state afterwards) is identical either way.
         """
-        if (
-            not self.use_vectorized
-            or count < _VECTOR_MIN_BITS
-            or self.width > 32
-            or not np.little_endian
-        ):
+        if count < _VECTOR_MIN_BITS or self.width > 32 or not np.little_endian:
             return self._bits_scalar(count)
         return self._bits_vectorized(count)
 
     def _bits_scalar(self, count: int) -> np.ndarray:
-        """Scalar oracle: one :meth:`step` per output bit."""
+        """Scalar path: one :meth:`step` per output bit."""
         return np.fromiter((self.step() for _ in range(count)), dtype=np.uint8, count=count)
 
     def _bits_vectorized(self, count: int) -> np.ndarray:
@@ -313,9 +296,9 @@ class LFSR:
         """Return ``count`` floats in [0, 1) built from packed words.
 
         With ``out`` (a float64 ``(count,)`` buffer, validated) the
-        words land in the caller's buffer.  The vectorized path packs a
-        whole block at once; the scalar oracle packs word by word with
-        zero allocations.  Either way the values are bit-identical: a
+        words land in the caller's buffer.  A large request packs a
+        whole block at once; a small one packs word by word with zero
+        allocations.  Either way the values are bit-identical: a
         ``bits_per_word``-bit word is exactly representable in a double,
         and dividing by a power of two is exact, so the Python and NumPy
         divisions agree to the last ulp.
@@ -324,7 +307,7 @@ class LFSR:
         if out is None:
             return self.words(count, bits_per_word) / scale
         _check_out(count, out)
-        if self.use_vectorized and count * bits_per_word >= _VECTOR_MIN_BITS:
+        if count * bits_per_word >= _VECTOR_MIN_BITS:
             np.divide(self.words(count, bits_per_word), scale, out=out)
             return out
         for index in range(count):

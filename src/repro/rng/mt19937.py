@@ -5,22 +5,16 @@ paper scales to 15 nm for Table IV.  This implementation follows the
 reference algorithm exactly, so its output can be checked against the
 published test vector (seed 5489 → first output 3499211612).
 
-Two execution paths produce the *same* word stream:
-
-* the **scalar oracle** — per-word :meth:`MT19937.next_u32` with the
-  reference one-at-a-time twist, kept alive behind
-  ``use_vectorized=False``;
-* the **block path** (the default) — the 624-word twist is evaluated as
-  three NumPy slice assignments (split exactly at the points where the
-  sequential recurrence starts consuming words the same twist already
-  rewrote, so each slice reads only finished values) plus a scalar
-  fix-up for the final word, and tempering is applied to whole output
-  blocks at once.  :meth:`words`/:meth:`uniforms` emit from the
-  tempered block instead of looping ``next_u32``.
-
-Both paths share the ``(mt, index)`` state representation, so scalar
-and vectorized draws interleave freely and snapshots transfer between
-them.
+The 624-word twist is evaluated as three NumPy slice assignments
+(split exactly at the points where the sequential recurrence starts
+consuming words the same twist already rewrote, so each slice reads only
+finished values) plus a scalar fix-up for the final word, and tempering
+is applied to whole output blocks at once: :meth:`MT19937.words` and
+:meth:`MT19937.uniforms` emit from the tempered block, while
+:meth:`MT19937.next_u32` tempers one word.  Both share the
+``(mt, index)`` state, so the two draw styles interleave freely.  The
+reference word-at-a-time twist lives in ``tests/oracles.py``, which
+``tests/test_rng_vectorized.py`` checks the block twist against.
 """
 
 from __future__ import annotations
@@ -55,21 +49,15 @@ def _temper_block(block: np.ndarray) -> np.ndarray:
 
 
 class MT19937:
-    """Reference Mersenne Twister with 32-bit output words.
+    """Reference Mersenne Twister with 32-bit output words."""
 
-    ``use_vectorized`` routes :meth:`words`/:meth:`uniforms` (and block
-    regeneration) through the NumPy twist; ``False`` keeps every draw on
-    the scalar oracle.  Output is byte-identical either way.
-    """
-
-    def __init__(self, seed: int = 5489, use_vectorized: bool = True):
+    def __init__(self, seed: int = 5489):
         if not 0 <= seed <= _WORD_MASK:
             raise ConfigError(f"seed must fit in 32 bits, got {seed}")
-        self.use_vectorized = bool(use_vectorized)
         self._mt = [0] * _N
         self._index = _N
-        # Tempered copy of the current block, kept by the vectorized
-        # twist so `words` serves plain slices; None = recompute.
+        # Tempered copy of the current block, kept by the twist so
+        # `words` serves plain slices; None = recompute.
         self._tempered: Optional[np.ndarray] = None
         self._mt[0] = seed
         for i in range(1, _N):
@@ -77,11 +65,7 @@ class MT19937:
             self._mt[i] = (1812433253 * (prev ^ (prev >> 30)) + i) & _WORD_MASK
 
     def getstate(self) -> dict:
-        """Snapshot of the full generator state (picklable, plain data).
-
-        ``use_vectorized`` is a config switch, not stream state:
-        snapshots move freely between scalar and vectorized twisters.
-        """
+        """Snapshot of the full generator state (picklable, plain data)."""
         return {"kind": "mt19937", "mt": list(self._mt), "index": self._index}
 
     def setstate(self, state: dict) -> None:
@@ -98,18 +82,6 @@ class MT19937:
         self._index = index
         self._tempered = None
 
-    def _generate(self) -> None:
-        """Scalar oracle twist: the reference word-at-a-time recurrence."""
-        mt = self._mt
-        for i in range(_N):
-            y = (mt[i] & _UPPER_MASK) | (mt[(i + 1) % _N] & _LOWER_MASK)
-            nxt = mt[(i + _M) % _N] ^ (y >> 1)
-            if y & 1:
-                nxt ^= _MATRIX_A
-            mt[i] = nxt
-        self._index = 0
-        self._tempered = None
-
     def _twist_block(self) -> None:
         """Vectorized twist of the whole 624-word block.
 
@@ -118,7 +90,7 @@ class MT19937:
         split at 227-word boundaries: each NumPy slice then reads only
         words finished by an earlier slice (or untouched old words), and
         the final word, whose ``y`` mixes the new ``mt[0]``, is fixed up
-        scalar.  Byte-identical to :meth:`_generate`.
+        scalar.  Byte-identical to the reference recurrence.
         """
         mt = np.array(self._mt, dtype=np.uint32)
         upper = np.uint32(_UPPER_MASK)
@@ -143,16 +115,10 @@ class MT19937:
         self._index = 0
         self._tempered = _temper_block(mt)
 
-    def _regenerate(self) -> None:
-        if self.use_vectorized:
-            self._twist_block()
-        else:
-            self._generate()
-
     def next_u32(self) -> int:
         """Return the next tempered 32-bit word."""
         if self._index >= _N:
-            self._regenerate()
+            self._twist_block()
         y = self._mt[self._index]
         self._index += 1
         y ^= y >> 11
@@ -164,19 +130,15 @@ class MT19937:
     def words(self, count: int) -> np.ndarray:
         """Return the next ``count`` 32-bit words as uint64.
 
-        The vectorized path drains the in-flight block, then twists and
-        tempers whole 624-word blocks; partial consumption leaves
-        ``index`` mid-block exactly like the scalar loop would.
+        Drains the in-flight block, then twists and tempers whole
+        624-word blocks; partial consumption leaves ``index`` mid-block
+        exactly like ``count`` calls of :meth:`next_u32` would.
         """
-        if not self.use_vectorized:
-            return np.fromiter(
-                (self.next_u32() for _ in range(count)), dtype=np.uint64, count=count
-            )
         out = np.empty(count, dtype=np.uint64)
         filled = 0
         while filled < count:
             if self._index >= _N:
-                self._regenerate()
+                self._twist_block()
             take = min(_N - self._index, count - filled)
             if self._tempered is not None:
                 out[filled:filled + take] = self._tempered[
@@ -203,9 +165,5 @@ class MT19937:
         if out is None:
             return self.words(count).astype(np.float64) / scale
         _check_out(count, out)
-        if self.use_vectorized:
-            np.divide(self.words(count), scale, out=out)
-            return out
-        for index in range(count):
-            out[index] = self.next_u32() / scale
+        np.divide(self.words(count), scale, out=out)
         return out

@@ -22,12 +22,13 @@ assert that, plus the structural invariants (no structural hazards, at
 most two variables resident in the FIFO, no RET-network reuse before
 the residual-excitation rest interval).
 
-Both machines default to the event-driven batched engine in
-:mod:`repro.uarch.events` (``use_event_driven=True``), which computes
-the identical :class:`MachineResult` — cycle for cycle, bit for bit —
-from scheduled events and vectorized numpy instead of per-cycle latch
-stepping.  The scalar loops remain as the oracles (and run whenever a
-:class:`PipelineTrace` is attached).
+Both machines run on the event-driven batched engine in
+:mod:`repro.uarch.events`, which computes the identical
+:class:`MachineResult` — cycle for cycle, bit for bit — from scheduled
+events and vectorized numpy instead of per-cycle latch stepping.  The
+per-cycle loops remain as the readable specification: they run
+whenever a :class:`PipelineTrace` is attached or the config uses
+``float_time``, and the tests check the event engine against them.
 """
 
 from repro.uarch.backend import CycleCountingBackend, MachineBackend

@@ -36,12 +36,6 @@ class MachineBackend(SamplerBackend):
         Raw-energy full scale for the 8-bit front end.
     rng:
         Entropy source shared by the machine's RET model.
-
-    use_event_driven:
-        Route each batch through the event-driven engine
-        (:mod:`repro.uarch.events`, default) or the per-cycle scalar
-        oracle.  Both produce identical labels and cycle counts; the
-        event path is the fast one.
     conflict_policy:
         RET-network conflict handling for the new-design machine:
         ``"count"`` (default) tallies conflicts without timing impact,
@@ -65,7 +59,6 @@ class MachineBackend(SamplerBackend):
         config: RSUConfig,
         energy_full_scale: float,
         rng: np.random.Generator,
-        use_event_driven: bool = True,
         conflict_policy: str = "count",
     ):
         new_style = config.scaling and config.cutoff and config.pow2_lambda
@@ -79,7 +72,6 @@ class MachineBackend(SamplerBackend):
         self.energy_stage = EnergyStage(config.energy_bits, energy_full_scale)
         self._rng = rng
         self._new_style = new_style
-        self._use_event_driven = use_event_driven
         self._conflict_policy = conflict_policy
         self._machines: Dict[float, object] = {}
         self.total_cycles = 0
@@ -94,15 +86,9 @@ class MachineBackend(SamplerBackend):
                     grid_temperature,
                     self._rng,
                     conflict_policy=self._conflict_policy,
-                    use_event_driven=self._use_event_driven,
                 )
             else:
-                machine = LegacyMachine(
-                    self.config,
-                    grid_temperature,
-                    self._rng,
-                    use_event_driven=self._use_event_driven,
-                )
+                machine = LegacyMachine(self.config, grid_temperature, self._rng)
             self._machines[grid_temperature] = machine
         return machine
 

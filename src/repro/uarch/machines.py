@@ -129,7 +129,6 @@ class LegacyMachine:
         rng: np.random.Generator,
         interface_bits: int = 8,
         trace: Optional[PipelineTrace] = None,
-        use_event_driven: bool = True,
     ):
         if config.scaling or config.cutoff:
             raise ConfigError("the legacy machine models the unscaled design")
@@ -140,7 +139,6 @@ class LegacyMachine:
         self._rng = rng
         self._interface_bits = interface_bits
         self._lut = cached_legacy_lut(temperature_grid, config)
-        self._use_event_driven = use_event_driven
 
     def update_temperature(self, temperature_grid: float) -> int:
         """Rewrite the energy-to-intensity LUT; returns the stall cycles."""
@@ -148,13 +146,10 @@ class LegacyMachine:
         return legacy_temperature_stall(self.config, self._interface_bits)
 
     def _event_path_active(self) -> bool:
-        """Event-driven runs need no per-cycle observation (tracing) and
-        binned time (the float-time stage has no cycle semantics)."""
-        return (
-            self._use_event_driven
-            and self._trace is None
-            and not self.config.float_time
-        )
+        """The event engine needs no per-cycle observation (tracing) and
+        binned time (the float-time stage has no cycle semantics); the
+        per-cycle :meth:`_run_scalar` serves both of those."""
+        return self._trace is None and not self.config.float_time
 
     def run(
         self,
@@ -183,9 +178,9 @@ class LegacyMachine:
 
         The machine-in-the-loop hot path: the event engine consumes the
         matrix as one flat stream, skipping per-variable
-        :class:`VariableJob` construction entirely.  Falls back to
-        :func:`jobs_from_energies` + the scalar oracle when the event
-        path is unavailable.  Identical results either way.
+        :class:`VariableJob` construction entirely.  Traced and
+        float-time runs go through :func:`jobs_from_energies` and the
+        per-cycle :meth:`_run_scalar` instead.
         """
         if self._event_path_active():
             from repro.uarch.events import run_legacy_machine, stream_from_matrix
@@ -200,7 +195,7 @@ class LegacyMachine:
         jobs: Sequence[VariableJob],
         temperature_schedule: Optional[Dict[int, float]] = None,
     ) -> MachineResult:
-        """Cycle-exact oracle: step every latch, every cycle."""
+        """Cycle-exact specification: step every latch, every cycle."""
         temperature_schedule = temperature_schedule or {}
         selection = _SelectionTracker(self.config.tie_policy, self._rng)
         issue_queue = deque()
@@ -317,7 +312,6 @@ class NewMachine:
         rng: np.random.Generator,
         conflict_policy: str = "count",
         trace: Optional[PipelineTrace] = None,
-        use_event_driven: bool = True,
     ):
         self._trace = trace
         if not (config.scaling and config.cutoff and config.pow2_lambda):
@@ -333,7 +327,6 @@ class NewMachine:
         self._bounds = cached_boundary_table(temperature_grid, config)
         self._shadow_bounds = None
         self._conflict_policy = conflict_policy
-        self._use_event_driven = use_event_driven
 
     def update_temperature(self, temperature_grid: float) -> int:
         """Stage new boundaries in the shadow registers; zero stalls."""
@@ -341,13 +334,10 @@ class NewMachine:
         return 0
 
     def _event_path_active(self) -> bool:
-        """Event-driven runs need no per-cycle observation (tracing) and
-        binned time (the float-time stage has no cycle semantics)."""
-        return (
-            self._use_event_driven
-            and self._trace is None
-            and not self.config.float_time
-        )
+        """The event engine needs no per-cycle observation (tracing) and
+        binned time (the float-time stage has no cycle semantics); the
+        per-cycle :meth:`_run_scalar` serves both of those."""
+        return self._trace is None and not self.config.float_time
 
     def _convert(self, scaled_energy: int) -> int:
         """Comparison-based energy-to-lambda conversion."""
@@ -392,7 +382,7 @@ class NewMachine:
         jobs: Sequence[VariableJob],
         temperature_schedule: Optional[Dict[int, float]] = None,
     ) -> MachineResult:
-        """Cycle-exact oracle: step every latch, every cycle."""
+        """Cycle-exact specification: step every latch, every cycle."""
         temperature_schedule = temperature_schedule or {}
         selection = _SelectionTracker(self.config.tie_policy, self._rng)
         for job in jobs:

@@ -5,7 +5,6 @@ from repro.util.errors import (
     DataError,
     FaultError,
     ReproError,
-    TransientFaultError,
     UnrecoverableFaultError,
 )
 from repro.util.quantize import (
@@ -29,7 +28,6 @@ __all__ = [
     "DataError",
     "FaultError",
     "ReproError",
-    "TransientFaultError",
     "UnrecoverableFaultError",
     "clamp",
     "nearest_pow2",

@@ -21,9 +21,5 @@ class FaultError(ReproError, RuntimeError):
     """An injected or detected hardware fault surfaced to the caller."""
 
 
-class TransientFaultError(FaultError):
-    """A fault that may clear on retry (e.g. a unit dropped one sample)."""
-
-
 class UnrecoverableFaultError(FaultError):
     """The device cannot make progress: retries and spares are exhausted."""

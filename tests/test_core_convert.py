@@ -12,10 +12,7 @@ from repro.core import (
     lambda_codes_by_boundaries,
     lambda_codes_lut,
     legacy_lut,
-    lut_enabled,
     new_design_config,
-    set_lut_enabled,
-    use_lut,
 )
 from repro.util import ConfigError
 
@@ -157,29 +154,20 @@ class TestMemoizedLutFastPath:
         with pytest.raises(ConfigError):
             lambda_codes_lut(np.zeros((1, 4), dtype=np.int64), 0.0, NEW)
 
-    def test_global_switch_round_trips(self):
-        assert lut_enabled()
-        with use_lut(False):
-            assert not lut_enabled()
-            with use_lut(True):
-                assert lut_enabled()
-            assert not lut_enabled()
-        assert lut_enabled()
-        previous = set_lut_enabled(False)
-        assert previous is True
-        assert set_lut_enabled(True) is False
-
     def test_sampler_codes_identical_with_and_without_lut(self):
+        # The sampler always gathers from the table; the direct per-site
+        # conversion of the same quantized energies must agree.
         from repro.core import RSUGSampler
 
         energies = np.random.default_rng(11).uniform(0, 9.0, size=(30, 6))
-        with_lut = RSUGSampler(NEW, 9.0, np.random.default_rng(0), use_lut=True)
-        without = RSUGSampler(NEW, 9.0, np.random.default_rng(0), use_lut=False)
+        sampler = RSUGSampler(NEW, 9.0, np.random.default_rng(0))
         for temperature in (0.3, 0.05, 2.0):
-            assert np.array_equal(
-                with_lut.codes_for(energies, temperature),
-                without.codes_for(energies, temperature),
+            direct = lambda_codes(
+                sampler.energy_stage.quantize(energies),
+                sampler.energy_stage.quantized_temperature(temperature),
+                NEW,
             )
+            assert np.array_equal(sampler.codes_for(energies, temperature), direct)
 
 
 class TestLegacyLut:

@@ -155,6 +155,21 @@ class TestRegistryDeterminism:
         assert cold.to_json() == baseline
         assert warm.to_json() == baseline
 
+    def test_parallel_and_cached_sweep_byte_identical(self, tmp_path):
+        def sweep(engine):
+            with use_engine(engine):
+                return run_sweep(
+                    "time_bits", [4, 5, 6], app="stereo", profile=SUPERTINY, seed=3
+                )
+
+        baseline = sweep(ExperimentEngine(jobs=1, use_cache=False)).to_json()
+        cold = sweep(ExperimentEngine(jobs=2, cache_dir=tmp_path, use_cache=True))
+        warm_engine = ExperimentEngine(jobs=2, cache_dir=tmp_path, use_cache=True)
+        warm = sweep(warm_engine)
+        assert warm_engine.stats.cache_hits == warm_engine.stats.tasks > 0
+        assert cold.to_json() == baseline
+        assert warm.to_json() == baseline
+
     def test_run_experiment_accepts_engine(self):
         engine = ExperimentEngine(jobs=1)
         result = run_experiment("table3", profile="quick", engine=engine)

@@ -1,13 +1,14 @@
 """Batched multi-chain execution: byte-identity + allocation guard.
 
-The contract under test (see ``repro/mrf/batch.py``): running K chains
-through one :class:`BatchedSweepWorkspace` — whether as a parallel
-tempering ladder or a multi-seed ensemble — produces *byte-identical*
-results to K sequential fused solves: same label grids, same energy
-histories, same swap decisions, same consumption of every RNG stream.
-Checked across backends, tie policies, LUT on/off, and connectivities,
-plus a tracemalloc bound on the batched kernel's steady-state
-allocations.
+The contract under test (see ``repro/mrf/kernel.py`` and
+``repro/mrf/batch.py``): running K chains through one
+:class:`BatchedSweepWorkspace` — whether as a parallel tempering ladder
+or a multi-seed ensemble — produces *byte-identical* results to K
+independent reference chains (``tests/oracles.py``): same label grids,
+same energy histories, same swap decisions, same consumption of every
+RNG stream.  Checked across backends, tie policies, the λ-table against
+the direct conversion, and connectivities, plus a tracemalloc bound on
+the batched kernel's steady-state allocations.
 """
 
 import tracemalloc
@@ -20,7 +21,6 @@ from repro.core import (
     RSUMHSampler,
     label_distance_matrix,
     new_design_config,
-    use_lut,
 )
 from repro.mrf import (
     BatchedSweepWorkspace,
@@ -30,11 +30,15 @@ from repro.mrf import (
     GridMRF,
     MCMCSolver,
     ParallelTempering,
-    SweepWorkspace,
     coloring_masks,
     geometric_ladder,
 )
 from repro.util.errors import ConfigError, DataError
+from tests.oracles import (
+    run_ensemble_reference,
+    run_reference,
+    run_tempering_reference,
+)
 
 FULL_SCALE = 12.0
 
@@ -67,16 +71,16 @@ def chain_factory(kind, tie="first", base_seed=100):
 def run_tempering(use_batched, kind, tie="first", lut=True, connectivity=4,
                   sweeps=12, swap_interval=2, replicas=4):
     model = tiny_model(connectivity)
-    with use_lut(lut):
-        pt = ParallelTempering(
-            model,
-            chain_factory(kind, tie),
-            geometric_ladder(0.3, 2.5, replicas),
-            swap_interval=swap_interval,
-            seed=3,
-            use_batched=use_batched,
-        )
+    pt = ParallelTempering(
+        model,
+        chain_factory(kind, tie),
+        geometric_ladder(0.3, 2.5, replicas),
+        swap_interval=swap_interval,
+        seed=3,
+    )
+    if use_batched:
         return pt.run(sweeps)
+    return run_tempering_reference(pt, sweeps, lut=lut)
 
 
 def assert_tempering_identical(kind, **kwargs):
@@ -89,7 +93,7 @@ def assert_tempering_identical(kind, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Tempering: batched ladder vs K sequential fused replicas
+# Tempering: batched ladder vs K independent reference replicas
 # ---------------------------------------------------------------------------
 
 
@@ -125,13 +129,39 @@ class TestTemperingIdentity:
         # pairs, which must consume no swap randomness in either path.
         assert_tempering_identical("software", replicas=2, swap_interval=1)
 
+    def test_eight_replica_stereo_ladder_matches(self):
+        from repro.apps.stereo import StereoParams, build_stereo_mrf
+        from repro.data import load_stereo
+
+        model = build_stereo_mrf(load_stereo("poster", scale=0.06), StereoParams())
+
+        def ladder():
+            return ParallelTempering(
+                model,
+                lambda index: make_backend(
+                    "rsu", model.max_energy(), seed=100 + index,
+                    config=new_design_config(),
+                ),
+                geometric_ladder(0.05, 0.6, 8),
+                swap_interval=2,
+                seed=3,
+            )
+
+        batched = ladder().run(8)
+        sequential = run_tempering_reference(ladder(), 8)
+        assert np.array_equal(batched.labels, sequential.labels)
+        assert batched.energy_history == sequential.energy_history
+        assert (batched.swap_attempts, batched.swaps_accepted) == (
+            sequential.swap_attempts, sequential.swaps_accepted
+        )
+
     def test_swaps_are_actually_exercised(self):
         result = run_tempering(True, "software", sweeps=20, swap_interval=1)
         assert result.swaps_accepted > 0
 
 
 # ---------------------------------------------------------------------------
-# Ensembles: batched restarts vs K independent solver runs
+# Ensembles: batched restarts vs K independent reference chains
 # ---------------------------------------------------------------------------
 
 
@@ -139,13 +169,15 @@ def ensemble_pair(kind="rsu", chains=5, iterations=10, track_energy=True):
     model = tiny_model()
     schedule = GeometricSchedule(2.0, 0.85)
 
-    def build(use_batched):
+    def build():
         return EnsembleSolver(
             model, chain_factory(kind), schedule, chains=chains,
-            seed=7, track_energy=track_energy, use_batched=use_batched,
-        ).run(iterations)
+            seed=7, track_energy=track_energy,
+        )
 
-    return model, schedule, build(True), build(False)
+    batched = build().run(iterations)
+    sequential = run_ensemble_reference(build(), iterations)
+    return model, schedule, batched, sequential
 
 
 class TestEnsembleIdentity:
@@ -184,14 +216,21 @@ class TestEnsembleIdentity:
         assert np.array_equal(solve.labels, batched.labels)
         assert solve.energy_history == batched.energy_histories[batched.best_chain]
 
-    def test_single_chain_runs_sequentially(self):
+    def test_single_chain_runs_batched_and_matches_solver(self):
+        # chains=1 runs on the batched workspace too (so it can
+        # checkpoint) and is byte-identical to the plain solver run.
         model = tiny_model()
+        schedule = GeometricSchedule(2.0, 0.85)
         result = EnsembleSolver(
-            model, chain_factory("software"), GeometricSchedule(2.0, 0.85),
-            chains=1, seed=7,
+            model, chain_factory("rsu", tie="random"), schedule, chains=1, seed=7,
         ).run(5)
         assert result.n_chains == 1
         assert result.best_chain == 0
+        solo = MCMCSolver(
+            model, chain_factory("rsu", tie="random")(0), schedule, seed=7
+        ).run(5)
+        assert np.array_equal(result.chain_labels[0], solo.labels)
+        assert result.energy_histories[0] == solo.energy_history
 
     def test_validation(self):
         model = tiny_model()
@@ -230,8 +269,9 @@ class TestEnsembleResult:
 
 class TestBatchedWorkspace:
     def test_matches_single_chain_workspaces_per_sweep(self):
-        """Sweep-by-sweep lockstep against K independent SweepWorkspaces,
-        with a distinct temperature per chain (the stacked-LUT path)."""
+        """Sweep-by-sweep lockstep against K independent single-chain
+        (K=1) workspaces, with a distinct temperature per chain (the
+        stacked-LUT path)."""
         model = tiny_model()
         masks = coloring_masks(model.shape, model.connectivity)
         chains = 3
@@ -241,17 +281,19 @@ class TestBatchedWorkspace:
         rng = np.random.default_rng(11)
         stacked = rng.integers(0, model.n_labels, size=(chains,) + model.shape,
                                dtype=np.int64)
-        singles = [stacked[k].copy() for k in range(chains)]
+        singles = [stacked[k:k + 1].copy() for k in range(chains)]
         batched_ws = BatchedSweepWorkspace(model, masks, chains)
         batched_ws.bind(stacked)
-        single_ws = [SweepWorkspace(model, masks) for _ in range(chains)]
+        single_ws = [BatchedSweepWorkspace(model, masks, 1) for _ in range(chains)]
         for k in range(chains):
             single_ws[k].bind(singles[k])
         for _ in range(6):
             batched_ws.sweep(stacked, temps, batched_samplers, [False] * chains)
             for k in range(chains):
-                single_ws[k].sweep(singles[k], temps[k], single_samplers[k], False)
-            assert np.array_equal(stacked, np.stack(singles))
+                single_ws[k].sweep(
+                    singles[k], [temps[k]], [single_samplers[k]], [False]
+                )
+            assert np.array_equal(stacked, np.concatenate(singles))
 
     def test_bind_rejects_bad_shapes(self):
         model = tiny_model()
@@ -272,6 +314,24 @@ class TestBatchedWorkspace:
         stacked = np.zeros((2,) + model.shape, dtype=np.int64)
         with pytest.raises(DataError):
             workspace.sweep(stacked, [1.0], [chain_factory("software")(0)], [False])
+
+    @pytest.mark.parametrize("kind", ["rsu", "software"])
+    def test_sweep_rejects_wrong_temperature_count(self, kind):
+        # Regression: a 3-chain sweep given one temperature used to run
+        # silently on rsu and divide by an unfilled buffer on software.
+        model = tiny_model()
+        masks = coloring_masks(model.shape, model.connectivity)
+        workspace = BatchedSweepWorkspace(model, masks, 3)
+        stacked = np.zeros((3,) + model.shape, dtype=np.int64)
+        samplers = [chain_factory(kind)(k) for k in range(3)]
+        states = [sampler.getstate() for sampler in samplers]
+        with pytest.raises(DataError, match="temperatures"):
+            workspace.sweep(stacked, [0.5], samplers, [False] * 3)
+        with pytest.raises(DataError):
+            workspace.sweep(stacked, [0.5] * 4, samplers, [False] * 3)
+        # Nothing was drawn or written before the check.
+        assert [sampler.getstate() for sampler in samplers] == states
+        assert not stacked.any()
 
     def test_rejects_non_partition_masks(self):
         model = tiny_model()

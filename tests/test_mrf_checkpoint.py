@@ -4,8 +4,9 @@ The contract (see ``repro/mrf/checkpoint.py``): a solve interrupted at
 any checkpoint and resumed from it produces *byte-identical* labels,
 histories, and downstream RNG draws to an uninterrupted oracle — for
 the single-chain solver across backends (software, LFSR/MT19937-fed CDF
-samplers, both RSU-G designs), for parallel tempering on both run
-paths, and for batched ensembles.  Plus: on-disk round trip through the
+samplers, both RSU-G designs), for parallel tempering (also resumed in
+the reference chains of ``tests/oracles.py``), and for ensembles of one
+or more chains.  Plus: on-disk round trip through the
 checksummed envelope, and corrupt/foreign checkpoint files are refused
 rather than resumed from garbage.
 """
@@ -30,6 +31,7 @@ from repro.mrf import (
 )
 from repro.util.errors import ConfigError
 from repro.util.integrity import EnvelopeError
+from tests.oracles import run_ensemble_reference, run_tempering_reference
 
 FULL_SCALE = 12.0
 
@@ -145,14 +147,13 @@ class TestSolverResume:
             make_solver("software", model).run(4, resume=captured[0])
 
 
-def ladder_under_test(model, use_batched=True):
+def ladder_under_test(model):
     return ParallelTempering(
         model,
         lambda i: make_backend("new_rsug", FULL_SCALE, seed=40 + i),
         geometric_ladder(0.5, 4.0, 3),
         swap_interval=2,
         seed=11,
-        use_batched=use_batched,
     )
 
 
@@ -166,39 +167,52 @@ def assert_tempering_identical(a, b):
 class TestTemperingResume:
     @pytest.mark.parametrize("use_batched", [True, False], ids=["batched", "sequential"])
     def test_kill_and_resume_matches_oracle(self, use_batched):
+        # "sequential": the uninterrupted oracle is K independent
+        # reference chains instead of the batched ladder.
         model = tiny_model(seed=4)
-        oracle = ladder_under_test(model, use_batched).run(8)
+        if use_batched:
+            oracle = ladder_under_test(model).run(8)
+        else:
+            oracle = run_tempering_reference(ladder_under_test(model), 8)
         captured = []
-        ladder_under_test(model, use_batched).run(
+        ladder_under_test(model).run(
             4, checkpoint_every=4, checkpoint_sink=captured.append
         )
-        resumed = ladder_under_test(model, use_batched).run(8, resume=captured[0])
+        resumed = ladder_under_test(model).run(8, resume=captured[0])
         assert_tempering_identical(oracle, resumed)
 
     def test_cross_path_resume(self):
-        # A checkpoint taken on the batched path resumes on the
-        # sequential oracle path (and vice versa) — the snapshot is
-        # path-agnostic because both paths are byte-identical.
+        # A checkpoint taken on the batched ladder resumes in the
+        # reference chains — the snapshot holds the complete state.
         model = tiny_model(seed=4)
-        oracle = ladder_under_test(model, use_batched=True).run(8)
+        oracle = ladder_under_test(model).run(8)
         captured = []
-        ladder_under_test(model, use_batched=True).run(
+        ladder_under_test(model).run(
             4, checkpoint_every=4, checkpoint_sink=captured.append
         )
-        resumed = ladder_under_test(model, use_batched=False).run(8, resume=captured[0])
+        resumed = run_tempering_reference(
+            ladder_under_test(model), 8, resume=captured[0]
+        )
         assert_tempering_identical(oracle, resumed)
 
 
-def ensemble_under_test(model, use_batched=True):
+def ensemble_under_test(model, chains=3):
     return EnsembleSolver(
         model,
         lambda i: make_backend("software", FULL_SCALE, seed=60 + i),
         GeometricSchedule(2.0, 0.85),
-        chains=3,
+        chains=chains,
         init="random",
         seed=21,
-        use_batched=use_batched,
     )
+
+
+def assert_ensembles_identical(a, b):
+    assert a.best_chain == b.best_chain
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.chain_labels, b.chain_labels)
+    for x, y in zip(a.energy_histories, b.energy_histories):
+        np.testing.assert_array_equal(x, y)
 
 
 class TestEnsembleResume:
@@ -210,29 +224,60 @@ class TestEnsembleResume:
             4, checkpoint_every=4, checkpoint_sink=captured.append
         )
         resumed = ensemble_under_test(model).run(8, resume=captured[0])
-        assert oracle.best_chain == resumed.best_chain
-        np.testing.assert_array_equal(oracle.labels, resumed.labels)
-        np.testing.assert_array_equal(oracle.chain_labels, resumed.chain_labels)
-        for a, b in zip(oracle.energy_histories, resumed.energy_histories):
-            np.testing.assert_array_equal(a, b)
+        assert_ensembles_identical(oracle, resumed)
 
     def test_cross_path_resume_into_sequential(self):
+        # An ensemble snapshot splits into per-chain solver checkpoints;
+        # each chain resumes on its own MCMCSolver and matches K
+        # independent uninterrupted reference chains.
         model = tiny_model(seed=8)
-        oracle = ensemble_under_test(model, use_batched=False).run(8)
+        oracle = run_ensemble_reference(ensemble_under_test(model), 8)
         captured = []
-        ensemble_under_test(model, use_batched=True).run(
+        ensemble_under_test(model).run(
             4, checkpoint_every=4, checkpoint_sink=captured.append
         )
-        resumed = ensemble_under_test(model, use_batched=False).run(8, resume=captured[0])
-        assert oracle.best_chain == resumed.best_chain
-        np.testing.assert_array_equal(oracle.chain_labels, resumed.chain_labels)
-
-    def test_sequential_path_refuses_checkpoint_emission(self):
-        model = tiny_model(seed=8)
-        with pytest.raises(ConfigError):
-            ensemble_under_test(model, use_batched=False).run(
-                8, checkpoint_every=2, checkpoint_sink=lambda c: None
+        snapshot = captured[0]
+        resumed = []
+        for k, solver in enumerate(ensemble_under_test(model)._solvers):
+            chain_checkpoint = SolveCheckpoint(
+                kind="solver",
+                sweep=snapshot.sweep,
+                labels=snapshot.labels[k],
+                rng=snapshot.rng["chains"][k],
+                history={
+                    "energy": snapshot.history["energy"][k],
+                    "temperature": snapshot.history["temperature"],
+                },
             )
+            resumed.append(solver.run(8, resume=chain_checkpoint))
+        np.testing.assert_array_equal(
+            oracle.chain_labels, np.stack([result.labels for result in resumed])
+        )
+        for history, result in zip(oracle.energy_histories, resumed):
+            assert history == result.energy_history
+
+    def test_single_chain_kill_and_resume_matches_oracle(self):
+        # chains=1 sweeps on the batched workspace, so it checkpoints
+        # like any ensemble, and it matches the plain solver run.
+        model = tiny_model(seed=8)
+        oracle = ensemble_under_test(model, chains=1).run(8)
+        solo = MCMCSolver(
+            model,
+            make_backend("software", FULL_SCALE, seed=60),
+            GeometricSchedule(2.0, 0.85),
+            init="random",
+            seed=21,
+        ).run(8)
+        np.testing.assert_array_equal(oracle.labels, solo.labels)
+        assert oracle.energy_histories[0] == solo.energy_history
+        captured = []
+        ensemble_under_test(model, chains=1).run(
+            6, checkpoint_every=2, checkpoint_sink=captured.append
+        )
+        assert [checkpoint.sweep for checkpoint in captured] == [2, 4, 6]
+        for checkpoint in captured[:2]:
+            resumed = ensemble_under_test(model, chains=1).run(8, resume=checkpoint)
+            assert_ensembles_identical(oracle, resumed)
 
 
 class TestCheckpointPlumbing:

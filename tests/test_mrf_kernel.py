@@ -1,11 +1,12 @@
-"""Fused sweep kernel: byte-identity with the reference path + allocation guard.
+"""Sweep engine at K=1: byte-identity with the reference path + allocation guard.
 
-The contract under test (see ``repro/mrf/kernel.py``): running the
-solver with ``use_fused=True`` produces *byte-identical* results to the
-reference per-sweep pipeline — same final label grid, same energy
-history, same consumption of every RNG stream — across every backend,
-tie policy, ``float_time`` setting and LUT switch, while performing no
-large steady-state allocations.
+The contract under test (see ``repro/mrf/kernel.py``): a solver run —
+one chain on the batched sweep workspace — produces *byte-identical*
+results to the reference per-sweep pipeline in ``tests/oracles.py`` —
+same final label grid, same energy history, same consumption of every
+RNG stream — across every backend, tie policy and ``float_time``
+setting, and against both the memoized λ-table and the direct per-site
+conversion, while performing no large steady-state allocations.
 """
 
 import tracemalloc
@@ -25,11 +26,17 @@ from repro.core import (
     new_design_config,
     select_first_to_fire,
     select_first_to_fire_into,
-    use_lut,
 )
 from repro.core.rsu import RSUGSampler
-from repro.mrf import GeometricSchedule, GridMRF, MCMCSolver, SweepWorkspace, coloring_masks
+from repro.mrf import (
+    BatchedSweepWorkspace,
+    GeometricSchedule,
+    GridMRF,
+    MCMCSolver,
+    coloring_masks,
+)
 from repro.util.errors import DataError
+from tests.oracles import reference_sweep, run_reference
 
 FULL_SCALE = 12.0
 
@@ -61,10 +68,10 @@ def run_solver(kind, fused, tie="first", float_time=False, lut=True,
         sampler,
         GeometricSchedule(t0=4.0, rate=0.85),
         seed=3,
-        use_fused=fused,
     )
-    with use_lut(lut):
+    if fused:
         return solver.run(iterations, callback=callback)
+    return run_reference(solver, iterations, callback=callback, lut=lut)
 
 
 def assert_fused_matches_reference(**kwargs):
@@ -88,6 +95,8 @@ def test_identity_rsu_tie_and_float_time(tie, float_time):
 
 @pytest.mark.parametrize("lut", [True, False])
 def test_identity_rsu_lut_switch(lut):
+    # The engine always gathers from the memoized λ-table; the reference
+    # converts with either the table or the direct per-site exp.
     assert_fused_matches_reference(kind="rsu", lut=lut)
 
 
@@ -113,6 +122,29 @@ def test_identity_mh_backends_via_sample_given_current(kind):
 )
 def test_identity_legacy_design_points(config):
     assert_fused_matches_reference(kind="rsu", config=config)
+
+
+@pytest.mark.parametrize("lut", [True, False], ids=["lut", "direct"])
+def test_identity_stereo_solve(lut):
+    # A stereo-shaped annealed solve: the engine matches the reference
+    # sweep with the λ-table and with the direct per-site conversion.
+    from repro.apps.stereo import StereoParams, build_stereo_mrf
+    from repro.data import load_stereo
+    from repro.mrf import geometric_for_span
+
+    params = StereoParams(iterations=20)
+    model = build_stereo_mrf(load_stereo("poster", scale=0.2), params)
+    schedule = geometric_for_span(params.t0, params.t_final, params.iterations)
+
+    def solver():
+        sampler = make_backend(
+            "rsu", model.max_energy(), seed=3, config=new_design_config()
+        )
+        return MCMCSolver(model, sampler, schedule, seed=3, track_energy=False)
+
+    engine = solver().run(params.iterations)
+    reference = run_reference(solver(), params.iterations, lut=lut)
+    np.testing.assert_array_equal(engine.labels, reference.labels)
 
 
 def test_identity_eight_connectivity():
@@ -143,9 +175,9 @@ def test_noisy_ttf_stage_falls_back_and_stays_identical():
         sampler = RSUGSampler(cfg, FULL_SCALE, rng, ttf_sampler=ttf)
         assert not sampler._ttf_fusable
         solver = MCMCSolver(
-            tiny_model(), sampler, GeometricSchedule(4.0, 0.85), seed=3, use_fused=fused
+            tiny_model(), sampler, GeometricSchedule(4.0, 0.85), seed=3
         )
-        return solver.run(8)
+        return solver.run(8) if fused else run_reference(solver, 8)
 
     fused = noisy_solver(True)
     reference = noisy_solver(False)
@@ -220,26 +252,39 @@ def test_sample_scratch_reuses_buffers():
 # ---------------------------------------------------------------------------
 
 
+def single_chain_workspace(model, masks=None):
+    if masks is None:
+        masks = coloring_masks(model.shape, model.connectivity)
+    return BatchedSweepWorkspace(model, masks, 1)
+
+
 def test_workspace_class_energies_match_model():
     model = tiny_model()
     masks = coloring_masks(model.shape, model.connectivity)
-    workspace = SweepWorkspace(model, masks)
+    workspace = single_chain_workspace(model, masks)
     labels = np.random.default_rng(4).integers(0, model.n_labels, model.shape)
-    workspace.bind(labels)
+    workspace.bind(labels[np.newaxis])
     for index, mask in enumerate(masks):
         np.testing.assert_array_equal(
-            workspace.class_energies(index), model.site_energies(labels, mask)
+            workspace.class_energies(index)[0], model.site_energies(labels, mask)
         )
 
 
 def test_workspace_rejects_bad_labels():
     model = tiny_model()
-    workspace = SweepWorkspace(model, coloring_masks(model.shape, model.connectivity))
+    workspace = single_chain_workspace(model)
     with pytest.raises(DataError):
-        workspace.bind(np.zeros((3, 3), dtype=np.int64))
+        workspace.bind(np.zeros((1, 3, 3), dtype=np.int64))
+    with pytest.raises(DataError):
+        workspace.bind(np.zeros(model.shape, dtype=np.int64))  # missing chain axis
     wide = np.zeros((model.shape[0], 2 * model.shape[1]), dtype=np.int64)
     with pytest.raises(DataError):
-        workspace.bind(wide[:, ::2])  # non-contiguous view
+        workspace.bind(wide[np.newaxis, :, ::2])  # non-contiguous view
+    # MCMCSolver.sweep binds the grid as an aliasing view, so it refuses
+    # a grid it could not write through.
+    solver = MCMCSolver(model, build_sampler("software"), GeometricSchedule(2.0, 0.9))
+    with pytest.raises(DataError):
+        solver.sweep(wide[:, ::2], 1.0)
 
 
 def test_workspace_rejects_non_partition_masks():
@@ -247,15 +292,33 @@ def test_workspace_rejects_non_partition_masks():
     mask = np.zeros(model.shape, dtype=bool)
     mask[0, 0] = True
     with pytest.raises(DataError):
-        SweepWorkspace(model, [mask])
+        single_chain_workspace(model, [mask])
     with pytest.raises(DataError):
-        SweepWorkspace(model, [np.ones((3, 3), dtype=bool)])
+        single_chain_workspace(model, [np.ones((3, 3), dtype=bool)])
 
 
 def test_workspace_nbytes_reports_footprint():
     model = tiny_model()
-    workspace = SweepWorkspace(model, coloring_masks(model.shape, model.connectivity))
+    workspace = single_chain_workspace(model)
     assert workspace.nbytes > model.shape[0] * model.shape[1] * 8
+
+
+def test_solver_sweep_writes_through_and_matches_reference():
+    # The public sweep() binds the caller's grid as a (1, H, W) view and
+    # rebinds on every call, so edits between sweeps are seen.
+    model = tiny_model()
+    solver = MCMCSolver(model, build_sampler("rsu", tie="random"),
+                        GeometricSchedule(2.0, 0.9), seed=1)
+    reference_sampler = build_sampler("rsu", tie="random")
+    labels = solver.initial_labels()
+    expected = labels.copy()
+    for step in range(4):
+        if step == 2:
+            labels[::3, ::2] = 1
+            expected[::3, ::2] = 1
+        assert solver.sweep(labels, 1.5) is labels
+        reference_sweep(model, reference_sampler, expected, 1.5)
+        np.testing.assert_array_equal(labels, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +339,17 @@ def test_fused_sweeps_allocate_less_than_reference(tie):
         sampler = build_sampler("rsu", tie=tie, config=cfg)
         solver = MCMCSolver(
             model, sampler, GeometricSchedule(2.0, 0.9), seed=2,
-            track_energy=False, use_fused=fused,
+            track_energy=False,
         )
         labels = solver.initial_labels()
-        workspace = solver.workspace if fused else None
-        if workspace is not None:
-            workspace.bind(labels)
+        stacked = labels[np.newaxis]
+        solver.workspace.bind(stacked)
 
         def one_sweep():
-            if workspace is not None:
-                workspace.sweep(labels, 1.0, sampler, False)
+            if fused:
+                solver.workspace.sweep(stacked, [1.0], [sampler], [False])
             else:
-                solver.sweep(labels, 1.0)
+                reference_sweep(model, sampler, labels, 1.0)
 
         for _ in range(3):  # warm up every scratch buffer and LUT
             one_sweep()

@@ -151,4 +151,16 @@ class TestSwapProbability:
         pt = ParallelTempering(model, software_factory(), [1e-3, 1e3], seed=0)
         # A wildly favourable swap must be accepted deterministically —
         # and must not overflow on the way.
-        assert pt._accept_swap(1e6, -1e6, 0)
+        result = TemperingResult(labels=None, temperatures=pt.temperatures,
+                                 energy_history=[])
+        energies = [1e6, -1e6]
+        assert pt._swap_round(0, energies, result) == [0]
+        assert energies == [-1e6, 1e6]
+        assert (result.swap_attempts, result.swaps_accepted) == (1, 1)
+        # The round compares against the same clamped log-alpha the
+        # public helper exposes: a hopeless swap is refused.
+        from repro.mrf import swap_log_alpha
+
+        assert swap_log_alpha(1e-3, 1e3, -1e6, 1e6) < -1e8
+        assert pt._swap_round(0, [-1e6, 1e6], result) == []
+        assert (result.swap_attempts, result.swaps_accepted) == (2, 1)

@@ -3,6 +3,7 @@ counters the report promises (acceptance, entropy, cache, µarch stalls)
 actually fill in."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from repro.experiments.journal import RunJournal
 from repro.mrf.annealing import geometric_for_span
 from repro.mrf.solver import MCMCSolver
 from repro.obs import telemetry as obs
-from repro.obs.exporters import parse_jsonl, render_report, write_jsonl
+from repro.obs.exporters import (
+    parse_jsonl,
+    render_report,
+    telemetry_from_events,
+    to_jsonl,
+    to_prometheus,
+    write_jsonl,
+)
 from repro.obs.telemetry import Telemetry
 from repro.uarch import MachineBackend
 
@@ -59,6 +67,47 @@ class TestMeteredSolve:
         assert tel.value("entropy.uniforms") > 0
         assert tel.histograms["span.solver.sweep"].count == PARAMS.iterations
 
+    def test_disabled_path_overhead_is_bounded(self):
+        """Every metering site costs one ``obs.active()`` probe when
+        telemetry is off, so the metered run's op count times the
+        measured probe cost bounds the disabled overhead — no comparison
+        of two noisy solve timings needed."""
+        params = StereoParams(iterations=20)
+        model = build_stereo_mrf(load_stereo("poster", scale=0.2), params)
+        schedule = geometric_for_span(params.t0, params.t_final, params.iterations)
+
+        def solve():
+            sampler = make_backend(
+                "rsu", model.max_energy(), seed=3, config=new_design_config()
+            )
+            return MCMCSolver(
+                model, sampler, schedule, seed=3, track_energy=False
+            ).run(params.iterations)
+
+        disabled = solve()
+        with obs.use_telemetry() as tel:
+            enabled = solve()
+        assert np.array_equal(disabled.labels, enabled.labels)
+        assert tel.value("solver.sweeps") == params.iterations
+        assert tel.value("entropy.uniforms") > 0
+        assert tel.ops > 0
+        reloaded = telemetry_from_events(parse_jsonl(to_jsonl(tel)))
+        assert reloaded.value("solver.flips") == tel.value("solver.flips")
+        assert to_prometheus(tel).startswith("# TYPE")
+
+        def timed_solve():
+            started = time.perf_counter()
+            solve()
+            return time.perf_counter() - started
+
+        disabled_s = min(timed_solve() for _ in range(2))
+        probes = 200_000
+        started = time.perf_counter()
+        for _ in range(probes):
+            obs.active()
+        probe_s = (time.perf_counter() - started) / probes
+        assert tel.ops * probe_s / disabled_s < 0.02
+
     def test_report_shows_headline_rates(self, dataset):
         tel = Telemetry()
         solve_stereo(
@@ -89,9 +138,7 @@ class TestMeteredSolve:
             PARAMS.t0, PARAMS.t_final, PARAMS.iterations
         )
         with obs.use_telemetry() as tel:
-            sampler = make_backend(
-                "cdf_lfsr", model.max_energy(), seed=3, use_vectorized=True
-            )
+            sampler = make_backend("cdf_lfsr", model.max_energy(), seed=3)
             MCMCSolver(
                 model, sampler, schedule, seed=3, track_energy=False
             ).run(PARAMS.iterations)

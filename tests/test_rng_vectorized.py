@@ -3,8 +3,8 @@
 The bit-sliced LFSR engine, the block MT19937 twist, and the
 BufferedBitSource prefetcher are performance features with one hard
 contract: *every* bit, word, and float — and the generator state after
-every call — must equal the scalar oracles exactly, under any
-interleaving of the draw styles.  These tests pin that contract, plus
+every call — must equal the scalar oracles (``tests/oracles.py``)
+exactly, under any interleaving of the draw styles.  These tests pin that contract, plus
 the jump-ahead/substream algebra the block engine is built on.
 """
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.apps.common import make_backend
+from repro.core.cdf_sampler import CDFSampler
 from repro.core.distance import label_distance_matrix
 from repro.mrf.annealing import GeometricSchedule
 from repro.mrf.model import GridMRF
@@ -26,6 +27,7 @@ from repro.rng import (
 )
 from repro.rng import gf2
 from repro.util.errors import ReproError
+from tests.oracles import ScalarLFSR, ScalarMT19937
 
 ALL_WIDTHS = sorted(TAPS_BY_WIDTH)
 
@@ -34,16 +36,13 @@ COUNTS = (300, 5000, 70000)
 
 
 def lfsr_pair(width, seed=0b1011):
-    return (
-        LFSR(width=width, seed=seed, use_vectorized=False),
-        LFSR(width=width, seed=seed, use_vectorized=True),
-    )
+    return ScalarLFSR(width=width, seed=seed), LFSR(width=width, seed=seed)
 
 
 class TestGF2:
     def test_step_matrix_matches_one_step(self):
         for width in (3, 11, 19):
-            reg = LFSR(width=width, seed=0b101, use_vectorized=False)
+            reg = LFSR(width=width, seed=0b101)
             step = gf2.lfsr_step_matrix(width, reg.taps)
             before = reg.state
             reg.step()
@@ -116,7 +115,7 @@ class TestLFSRBitIdentity:
 
 class TestJumpAndSpawn:
     def test_jump_equals_scalar_steps(self):
-        stepped = LFSR(width=19, seed=5, use_vectorized=False)
+        stepped = LFSR(width=19, seed=5)
         for _ in range(1000):
             stepped.step()
         jumped = LFSR(width=19, seed=5).jump(1000)
@@ -156,15 +155,15 @@ class TestMTIdentity:
         assert MT19937(seed=5489).next_u32() == 3499211612
 
     def test_block_twist_matches_scalar_oracle(self):
-        scalar = MT19937(seed=42, use_vectorized=False)
-        vectorized = MT19937(seed=42, use_vectorized=True)
+        scalar = ScalarMT19937(seed=42)
+        vectorized = MT19937(seed=42)
         # Three full regenerations plus a partial block.
         np.testing.assert_array_equal(scalar.words(2000), vectorized.words(2000))
         assert scalar.getstate() == vectorized.getstate()
 
     def test_interleaved_scalar_and_block_draws(self):
-        scalar = MT19937(seed=9, use_vectorized=False)
-        vectorized = MT19937(seed=9, use_vectorized=True)
+        scalar = ScalarMT19937(seed=9)
+        vectorized = MT19937(seed=9)
         for count in (3, 700, 1, 624, 50):
             assert scalar.next_u32() == vectorized.next_u32()
             np.testing.assert_array_equal(
@@ -179,7 +178,7 @@ class TestMTIdentity:
         vectorized = MT19937(seed=3)
         vectorized.words(1000)
         snapshot = vectorized.getstate()
-        scalar = MT19937(seed=1, use_vectorized=False)
+        scalar = ScalarMT19937(seed=1)
         scalar.setstate(snapshot)
         np.testing.assert_array_equal(scalar.words(800), vectorized.words(800))
 
@@ -252,15 +251,24 @@ def tiny_model(seed=0):
 class TestEndToEndByteIdentity:
     """The whole point: flipping the engine cannot change any result."""
 
+    @staticmethod
+    def scalar_backend(kind, full_scale, seed):
+        """``make_backend`` wiring on the scalar engines, unbuffered."""
+        if kind == "cdf_lfsr":
+            source = LFSRBitSource(ScalarLFSR(width=19, seed=seed * 2 + 1))
+        else:
+            source = MTBitSource(ScalarMT19937(seed=(seed * 7919 + 1) & 0xFFFFFFFF))
+        return CDFSampler(source, energy_full_scale=full_scale)
+
     @pytest.mark.parametrize("kind", ["cdf_lfsr", "cdf_mt19937"])
     def test_solve_results_identical_across_engines(self, kind):
         model = tiny_model()
         full_scale = model.max_energy()
         results = []
-        for use_vectorized in (False, True):
-            sampler = make_backend(
-                kind, full_scale, seed=3, use_vectorized=use_vectorized
-            )
+        for sampler in (
+            self.scalar_backend(kind, full_scale, seed=3),
+            make_backend(kind, full_scale, seed=3),
+        ):
             solver = MCMCSolver(
                 model, sampler, GeometricSchedule(2.0, 0.8),
                 seed=3, track_energy=True,

@@ -2,7 +2,8 @@
 
 The contract of :mod:`repro.uarch.events` is *exactness*: the batched
 event path must return the same :class:`MachineResult` — winners, winner
-cycles, total cycles, stats — as the per-cycle scalar machine, and leave
+cycles, total cycles, stats — as the per-cycle scalar machine (reached
+through ``tests/oracles.py``), and leave
 the shared RNG in the identical final state, across designs, conflict
 policies, window lengths, label counts and temperature schedules.
 """
@@ -28,23 +29,22 @@ from repro.uarch import (
     jobs_from_energies,
 )
 from repro.util import ConfigError
+from tests.oracles import ScalarCycleCountingBackend, ScalarMachineBackend, scalar_machine
 
 
 def build_pair(design, policy, time_bits, tie_policy, seed):
     """Scalar-oracle and event-driven machines over lockstep RNGs."""
     if design == "legacy":
         config = legacy_design_config(time_bits=time_bits, tie_policy=tie_policy)
-        make = lambda rng, event: LegacyMachine(  # noqa: E731
-            config, 40.0, rng, use_event_driven=event
-        )
+        make = lambda rng: LegacyMachine(config, 40.0, rng)  # noqa: E731
     else:
         config = new_design_config(time_bits=time_bits, tie_policy=tie_policy)
-        make = lambda rng, event: NewMachine(  # noqa: E731
-            config, 40.0, rng, conflict_policy=policy, use_event_driven=event
+        make = lambda rng: NewMachine(  # noqa: E731
+            config, 40.0, rng, conflict_policy=policy
         )
     rng_scalar = np.random.default_rng(seed)
     rng_event = np.random.default_rng(seed)
-    return make(rng_scalar, False), make(rng_event, True), rng_scalar, rng_event
+    return scalar_machine(make(rng_scalar)), make(rng_event), rng_scalar, rng_event
 
 
 def assert_identical(result_scalar, result_event):
@@ -152,11 +152,13 @@ class TestMachineInTheLoop:
             dataset = load_stereo("poster", scale=0.10)
             params = StereoParams(iterations=12)
             model = build_stereo_mrf(dataset, params)
-            backend = CycleCountingBackend(
+            backend_cls = (
+                CycleCountingBackend if use_event_driven else ScalarCycleCountingBackend
+            )
+            backend = backend_cls(
                 new_design_config(),
                 model.max_energy(),
                 np.random.default_rng(5),
-                use_event_driven=use_event_driven,
             )
             schedule = geometric_for_span(
                 params.t0, params.t_final, params.iterations
@@ -176,12 +178,11 @@ class TestMachineInTheLoop:
     def test_legacy_backend_identical(self):
         energies = np.random.default_rng(1).random((10, 4))
         outs = []
-        for use_event in (True, False):
-            backend = MachineBackend(
+        for backend_cls in (MachineBackend, ScalarMachineBackend):
+            backend = backend_cls(
                 legacy_design_config(),
                 1.0,
                 np.random.default_rng(0),
-                use_event_driven=use_event,
             )
             outs.append(
                 (backend.sample(energies, 0.1), backend.total_cycles)
@@ -265,9 +266,9 @@ class TestTraceRingBuffer:
         quantized = np.random.default_rng(3).integers(0, 256, (20, 8))
         config = new_design_config()
         for use_event in (True, False):
-            machine = NewMachine(
-                config, 40.0, np.random.default_rng(0), use_event_driven=use_event
-            )
+            machine = NewMachine(config, 40.0, np.random.default_rng(0))
+            if not use_event:
+                scalar_machine(machine)
             machine.run_matrix(quantized)  # warm caches outside the snapshot
             tracemalloc.start()
             try:
