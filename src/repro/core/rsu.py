@@ -214,10 +214,12 @@ class RSUGSampler(SamplerBackend):
             raise DataError(
                 f"energies must be (chains, n_sites, n_labels), got shape {energies.shape}"
             )
-        constants = []
-        for sampler, temperature in zip(samplers, temperatures):
+        for temperature in temperatures:
             check_positive("temperature", temperature)
-            constants.append(sampler._stage_constants(float(temperature)))
+        constants = [
+            sampler._stage_constants(float(temperature))
+            for sampler, temperature in zip(samplers, temperatures)
+        ]
         shape = energies.shape
         flat_rows = shape[0] * shape[1]
         record_sampler_batch(flat_rows)

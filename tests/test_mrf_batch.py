@@ -68,7 +68,7 @@ def chain_factory(kind, tie="first", base_seed=100):
     return factory
 
 
-def run_tempering(use_batched, kind, tie="first", lut=True, connectivity=4,
+def run_tempering(batched, kind, tie="first", lut=True, connectivity=4,
                   sweeps=12, swap_interval=2, replicas=4):
     model = tiny_model(connectivity)
     pt = ParallelTempering(
@@ -78,7 +78,7 @@ def run_tempering(use_batched, kind, tie="first", lut=True, connectivity=4,
         swap_interval=swap_interval,
         seed=3,
     )
-    if use_batched:
+    if batched:
         return pt.run(sweeps)
     return run_tempering_reference(pt, sweeps, lut=lut)
 

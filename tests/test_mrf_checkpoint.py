@@ -165,21 +165,21 @@ def assert_tempering_identical(a, b):
 
 
 class TestTemperingResume:
-    @pytest.mark.parametrize("use_batched", [True, False], ids=["batched", "sequential"])
-    def test_kill_and_resume_matches_oracle(self, use_batched):
+    @pytest.mark.parametrize("oracle", ["batched", "sequential"])
+    def test_kill_and_resume_matches_oracle(self, oracle):
         # "sequential": the uninterrupted oracle is K independent
         # reference chains instead of the batched ladder.
         model = tiny_model(seed=4)
-        if use_batched:
-            oracle = ladder_under_test(model).run(8)
+        if oracle == "batched":
+            expected = ladder_under_test(model).run(8)
         else:
-            oracle = run_tempering_reference(ladder_under_test(model), 8)
+            expected = run_tempering_reference(ladder_under_test(model), 8)
         captured = []
         ladder_under_test(model).run(
             4, checkpoint_every=4, checkpoint_sink=captured.append
         )
         resumed = ladder_under_test(model).run(8, resume=captured[0])
-        assert_tempering_identical(oracle, resumed)
+        assert_tempering_identical(expected, resumed)
 
     def test_cross_path_resume(self):
         # A checkpoint taken on the batched ladder resumes in the

@@ -148,12 +148,12 @@ class TestMachineInTheLoop:
         from repro.data import load_stereo
         from repro.mrf import MCMCSolver, geometric_for_span
 
-        def solve(use_event_driven):
+        def solve(event_driven):
             dataset = load_stereo("poster", scale=0.10)
             params = StereoParams(iterations=12)
             model = build_stereo_mrf(dataset, params)
             backend_cls = (
-                CycleCountingBackend if use_event_driven else ScalarCycleCountingBackend
+                CycleCountingBackend if event_driven else ScalarCycleCountingBackend
             )
             backend = backend_cls(
                 new_design_config(),
