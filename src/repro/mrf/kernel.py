@@ -64,7 +64,7 @@ class _BatchedClassPlan:
         "energies",
         "energies_flat",
         "labels_out",
-        "labels_flat",
+        "labels_out_flat",
         "current",
         "scratch",
     )
@@ -113,7 +113,7 @@ class _BatchedClassPlan:
         self.energies = np.empty((n_chains, n, m), dtype=np.float64)
         self.energies_flat = self.energies.reshape(self.pair.shape)
         self.labels_out = np.empty((n_chains, n), dtype=np.intp)
-        self.labels_flat = self.labels_out.reshape(-1)
+        self.labels_out_flat = self.labels_out.reshape(-1)
         self.current = np.empty(n, dtype=np.int64)
         self.scratch = SampleScratch()
 
@@ -282,6 +282,6 @@ class BatchedSweepWorkspace:
                             energies[k], temperatures[k], plan.labels_out[k],
                             plan.scratch,
                         )
-            labels_flat[plan.site_flat] = plan.labels_flat
-            self._padded_flat[plan.pad_flat] = plan.labels_flat
+            labels_flat[plan.site_flat] = plan.labels_out_flat
+            self._padded_flat[plan.pad_flat] = plan.labels_out_flat
         return labels

@@ -34,11 +34,7 @@ from repro.mrf import (
     geometric_ladder,
 )
 from repro.util.errors import ConfigError, DataError
-from tests.oracles import (
-    run_ensemble_reference,
-    run_reference,
-    run_tempering_reference,
-)
+from tests.oracles import run_ensemble_reference, run_tempering_reference
 
 FULL_SCALE = 12.0
 
