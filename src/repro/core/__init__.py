@@ -26,7 +26,6 @@ from repro.core.base import (
     first_to_fire_winners,
     select_first_to_fire,
     select_first_to_fire_chains_into,
-    select_first_to_fire_into,
 )
 from repro.core.cdf_sampler import CDFSampler
 from repro.core.convert import (
@@ -95,7 +94,6 @@ __all__ = [
     "first_to_fire_winners",
     "select_first_to_fire",
     "select_first_to_fire_chains_into",
-    "select_first_to_fire_into",
     "CDFSampler",
     "lambda_codes_lut_into",
     "lambda_codes_lut_stacked_into",

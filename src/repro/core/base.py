@@ -1,14 +1,20 @@
-"""Sampler-backend interface.
+"""Sampler-backend interface and the first-to-fire selection stage.
 
 Every sampler used by the MCMC solver — the float software baseline,
 the two RSU-G functional models, and the pseudo-RNG inverse-CDF units —
 implements the same contract: given a matrix of label energies for a
 batch of conditionally independent sites, draw one label per site.
+Each backend has one draw implementation (see :class:`SamplerBackend`).
+
+Selection has one tie-order rule and one key construction behind its
+three front ends: :func:`select_first_to_fire` (draws its own
+tie-break uniforms), :func:`first_to_fire_winners` (takes them) and
+:func:`select_first_to_fire_chains_into` (per-chain streams, reused
+buffers, the sweep kernel's stage).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
@@ -23,9 +29,9 @@ def record_sampler_batch(n_samples: int) -> None:
 
     Called once per batch (per colour class per sweep), never per site,
     so the disabled path costs one ``active()`` read per dispatch.
-    Every fused ``sample_into``/``sample_chains_into`` override calls
-    this itself; delegating fallbacks must not, or the base
-    :meth:`SamplerBackend.sample` would double count.
+    Every ``sample_chains_into`` kernel calls this itself; the base
+    :meth:`SamplerBackend.sample` calls it only for backends that draw
+    through ``_sample_batch``, so no batch is counted twice.
     """
     tel = obs.active()
     if tel is not None:
@@ -65,19 +71,25 @@ class SampleScratch:
         return sum(b.nbytes for b in self._buffers.values())
 
 
-class SamplerBackend(ABC):
+class SamplerBackend:
     """Draws Gibbs labels from per-site, per-label energies.
 
-    Subclasses implement :meth:`_sample_batch`; :meth:`sample` performs
-    the shared input validation.
+    A backend implements exactly one draw: the chain-batched
+    :meth:`sample_chains_into` kernel when it has one, otherwise
+    :meth:`_sample_batch`.  :meth:`sample` is the single-block public
+    entry point over either: a kernel backend serves it as its K=1
+    case, the others after the shared input validation.
     """
 
     #: Short identifier used in experiment outputs.
     name: str = "base"
 
-    @abstractmethod
     def _sample_batch(self, energies: np.ndarray, temperature: float) -> np.ndarray:
         """Draw one label index per row of ``energies`` (validated input)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither _sample_batch nor "
+            "sample_chains_into"
+        )
 
     def sample(self, energies: np.ndarray, temperature: float) -> np.ndarray:
         """Draw one label per site.
@@ -100,6 +112,10 @@ class SamplerBackend(ABC):
         if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] < 1:
             raise DataError(f"energies must be (n_sites, n_labels), got shape {arr.shape}")
         check_positive("temperature", temperature)
+        kernel = type(self).sample_chains_into
+        if kernel.__func__ is not SamplerBackend.sample_chains_into.__func__:
+            out = np.empty((1, arr.shape[0]), dtype=np.int64)
+            return kernel([self], arr[None], (temperature,), out, SampleScratch())[0]
         record_sampler_batch(arr.shape[0])
         labels = self._sample_batch(arr, float(temperature))
         return np.asarray(labels, dtype=np.int64)
@@ -123,25 +139,6 @@ class SamplerBackend(ABC):
                 f"{type(self).__name__} is stateless but got state {state!r}"
             )
 
-    def sample_into(
-        self,
-        energies: np.ndarray,
-        temperature: float,
-        out: np.ndarray,
-        scratch: SampleScratch,
-    ) -> np.ndarray:
-        """Draw one label per site into the preallocated ``out`` buffer.
-
-        Contract: byte-identical to :meth:`sample` — same labels, same
-        consumption of every RNG stream — with intermediate arrays taken
-        from ``scratch`` instead of freshly allocated.  The base
-        implementation simply delegates to :meth:`sample` (correct for
-        every backend); samplers on the solver's hot path override it
-        with a genuinely fused, allocation-free pipeline.
-        """
-        out[...] = self.sample(energies, temperature)
-        return out
-
     @classmethod
     def sample_chains_into(
         cls,
@@ -158,16 +155,16 @@ class SamplerBackend(ABC):
         temperature; labels land in the ``(K, n_sites)`` ``out``.
 
         Contract: byte-identical to K sequential
-        ``samplers[k].sample_into(energies[k], ...)`` calls — same
+        ``samplers[k].sample(energies[k], temperatures[k])`` calls — same
         labels, same consumption of every chain's RNG stream.  The base
-        implementation *is* that sequential loop (correct for every
-        backend, including mixed per-chain state); backends on the
-        batched sweep hot path override it to fill per-chain entropy
-        slabs and then run the elementwise math over the whole
-        ``(K * n_sites, n_labels)`` block at once.
+        implementation *is* that sequential loop, for backends that draw
+        through :meth:`_sample_batch`; kernel backends override it to
+        fill per-chain entropy slabs and then run the elementwise math
+        over the whole ``(K * n_sites, n_labels)`` block at once,
+        reusing intermediate buffers from ``scratch``.
         """
         for index, sampler in enumerate(samplers):
-            sampler.sample_into(energies[index], temperatures[index], out[index], scratch)
+            out[index] = sampler.sample(energies[index], temperatures[index])
         return out
 
 
@@ -190,80 +187,72 @@ def first_to_fire_winners(
 ) -> np.ndarray:
     """Winning label per row (last axis) of TTFs, ties broken by policy.
 
-    The key construction of :func:`select_first_to_fire` for callers
-    that draw the tie-break entropy themselves: the ``random`` policy
-    ranks the given ``tie_uniforms`` (same shape as ``ttf``), the
-    deterministic policies ignore them.  Integer TTFs win on
-    ``ttf * M + order``; float TTFs win on their value, with all-cut-off
-    ``+inf`` lanes spread by the tie order.
+    :func:`select_first_to_fire` for callers that draw the tie-break
+    entropy themselves: the ``random`` policy ranks the given
+    ``tie_uniforms`` (same shape as ``ttf``), the deterministic
+    policies ignore them.
     """
-    n_labels = ttf.shape[-1]
-    if tie_policy == "first":
-        order = np.broadcast_to(np.arange(n_labels, dtype=np.int64), ttf.shape)
-    elif tie_policy == "last":
-        order = np.broadcast_to(
-            np.arange(n_labels - 1, -1, -1, dtype=np.int64), ttf.shape
-        )
-    elif tie_policy == "random":
-        order = np.argsort(tie_uniforms, axis=-1)
-    else:
-        raise DataError(f"unknown tie policy {tie_policy!r}")
-    if np.issubdtype(ttf.dtype, np.floating):
-        # Continuous (float-time) TTFs tie with probability zero except
-        # at +inf (all labels cut off); spread those by the tie order.
-        big = np.float64(1e300)
-        keys = np.where(np.isinf(ttf), big * (1.0 + order / (10.0 * n_labels)), ttf)
-    else:
-        keys = ttf.astype(np.int64) * np.int64(n_labels) + order
-    return np.argmin(keys, axis=-1).astype(np.int64)
+    order = _tie_order(tie_policy, ttf.shape, tie_uniforms)
+    return np.argmin(_selection_keys(ttf, order, SampleScratch()), axis=-1)
 
 
-def select_first_to_fire_into(
+def select_first_to_fire_chains_into(
     ttf: np.ndarray,
     tie_policy: str,
-    rng: np.random.Generator,
+    rngs,
     out: np.ndarray,
     scratch: SampleScratch,
 ) -> np.ndarray:
-    """Fused :func:`select_first_to_fire`: same winners, reused buffers.
+    """Chain-batched :func:`select_first_to_fire` into reused buffers.
 
-    Byte-identical to the reference selection for every tie policy and
-    TTF dtype, including the RNG stream: the ``random`` policy draws one
-    ``rng.random(ttf.shape)`` block exactly as the reference does, just
-    into a reused buffer.  (``random`` still pays one transient
-    ``argsort`` allocation — NumPy's argsort has no ``out=`` — which the
-    allocation-guard test bounds explicitly.)
+    ``ttf`` is ``(K, n_sites, n_labels)`` and ``rngs[k]`` supplies chain
+    ``k``'s tie-break entropy.  Byte-identical to K sequential
+    :func:`select_first_to_fire` calls: the ``random`` policy fills one
+    per-chain uniform slab from each chain's own generator — the same
+    block, in the same order, that chain would draw running alone — and
+    the key construction and argmin are elementwise/rowwise, so
+    batching over the chain axis cannot change any winner.
     """
-    n_labels = ttf.shape[-1]
-    if tie_policy == "first":
-        order = np.broadcast_to(np.arange(n_labels, dtype=np.int64), ttf.shape)
-    elif tie_policy == "last":
-        order = np.broadcast_to(
-            np.arange(n_labels - 1, -1, -1, dtype=np.int64), ttf.shape
-        )
-    elif tie_policy == "random":
+    uniforms = None
+    if tie_policy == "random":
         uniforms = scratch.buf("select_uniforms", ttf.shape, np.float64)
-        rng.random(out=uniforms)
-        order = np.argsort(uniforms, axis=-1)
-    else:
-        raise DataError(f"unknown tie policy {tie_policy!r}")
-    keys = _selection_keys(ttf, order, scratch)
-    np.argmin(keys, axis=-1, out=out)
+        for index, rng in enumerate(rngs):
+            rng.random(out=uniforms[index])
+    order = _tie_order(tie_policy, ttf.shape, uniforms)
+    np.argmin(_selection_keys(ttf, order, scratch), axis=-1, out=out)
     return out
+
+
+def _tie_order(
+    tie_policy: str, shape: tuple, tie_uniforms: Optional[np.ndarray]
+) -> np.ndarray:
+    """Per-lane tie rank: the label index, reversed, or the uniforms' rank."""
+    n_labels = shape[-1]
+    if tie_policy == "first":
+        return np.broadcast_to(np.arange(n_labels, dtype=np.int64), shape)
+    if tie_policy == "last":
+        return np.broadcast_to(np.arange(n_labels - 1, -1, -1, dtype=np.int64), shape)
+    if tie_policy == "random":
+        return np.argsort(tie_uniforms, axis=-1)
+    raise DataError(f"unknown tie policy {tie_policy!r}")
 
 
 def _selection_keys(
     ttf: np.ndarray, order: np.ndarray, scratch: SampleScratch
 ) -> np.ndarray:
-    """Fused selection-key construction shared by the 2-D and chain-batched
-    ``select_first_to_fire*_into`` paths.  Purely elementwise, so it is
-    shape-agnostic: a ``(K, n_sites, n_labels)`` block produces exactly
-    the keys of K independent ``(n_sites, n_labels)`` calls.
+    """First-to-fire keys whose row argmin is the winner, in reused buffers.
+
+    Integer TTFs win on ``ttf * n_labels + order``, built in the TTF's
+    own dtype: the caller guarantees it fits, which lets the sweep
+    kernel run its bins and keys in int32.  Float (float-time) TTFs tie
+    with probability zero except at ``+inf`` (every label cut off);
+    those lanes get ``1e300 * (1 + order / (10 * n_labels))``, so the
+    tie order spreads them.  Purely elementwise, so a
+    ``(K, n_sites, n_labels)`` block produces exactly the keys of K
+    independent ``(n_sites, n_labels)`` calls.
     """
     n_labels = ttf.shape[-1]
     if np.issubdtype(ttf.dtype, np.floating):
-        # Mirror the reference float-key construction op for op:
-        # big * (1.0 + order / (10 * n_labels)) where the TTF is +inf.
         big = np.float64(1e300)
         tie_keys = scratch.buf("select_tie_keys", ttf.shape, np.float64)
         np.divide(order, 10.0 * n_labels, out=tie_keys)
@@ -275,46 +264,7 @@ def _selection_keys(
         np.copyto(keys, ttf)
         np.copyto(keys, tie_keys, where=infinite)
     else:
-        # Keys inherit the TTF's integer dtype (the caller guarantees
-        # ``ttf * n_labels + order`` fits it); the values — and thus the
-        # argmin winners — match the reference's int64 keys exactly.
         keys = scratch.buf("select_int_keys", ttf.shape, ttf.dtype)
         np.multiply(ttf, ttf.dtype.type(n_labels), out=keys)
         np.add(keys, order, out=keys)
     return keys
-
-
-def select_first_to_fire_chains_into(
-    ttf: np.ndarray,
-    tie_policy: str,
-    rngs,
-    out: np.ndarray,
-    scratch: SampleScratch,
-) -> np.ndarray:
-    """Chain-batched :func:`select_first_to_fire_into`.
-
-    ``ttf`` is ``(K, n_sites, n_labels)`` and ``rngs[k]`` supplies chain
-    ``k``'s tie-break entropy.  Byte-identical to K sequential
-    :func:`select_first_to_fire_into` calls: the ``random`` policy fills
-    one per-chain uniform slab from each chain's own generator — the
-    same block, in the same order, that chain would draw running alone —
-    and the key construction and argmin are elementwise/rowwise, so
-    batching over the chain axis cannot change any winner.
-    """
-    n_labels = ttf.shape[-1]
-    if tie_policy == "first":
-        order = np.broadcast_to(np.arange(n_labels, dtype=np.int64), ttf.shape)
-    elif tie_policy == "last":
-        order = np.broadcast_to(
-            np.arange(n_labels - 1, -1, -1, dtype=np.int64), ttf.shape
-        )
-    elif tie_policy == "random":
-        uniforms = scratch.buf("select_uniforms", ttf.shape, np.float64)
-        for index, rng in enumerate(rngs):
-            rng.random(out=uniforms[index])
-        order = np.argsort(uniforms, axis=-1)
-    else:
-        raise DataError(f"unknown tie policy {tie_policy!r}")
-    keys = _selection_keys(ttf, order, scratch)
-    np.argmin(keys, axis=-1, out=out)
-    return out

@@ -15,6 +15,10 @@ vectorized LFSR/MT19937 block engines, so the per-half-sweep draws of a
 few hundred variates are served from a prefetched slab instead of
 paying the pseudo-RNG's per-call scalar loop — same float stream, same
 labels, just faster.
+
+The unit draws only through :meth:`CDFSampler.sample_chains_into`; the
+literal allocating inverse-CDF draw it must match (and the per-label
+weights it samples) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,74 +71,59 @@ class CDFSampler(SamplerBackend):
     def setstate(self, state: dict) -> None:
         self._source.setstate(state["source"])
 
-    def weights_for(self, energies: np.ndarray, temperature: float) -> np.ndarray:
-        """Per-label weights after energy quantization (and weight quantization)."""
-        quantized = self.energy_stage.quantize(energies).astype(np.float64)
-        t_grid = self.energy_stage.quantized_temperature(temperature)
-        scaled = quantized - quantized.min(axis=1, keepdims=True)
-        weights = np.exp(-scaled / t_grid)
-        if self.weight_bits is not None:
-            # The minimum-energy label always rounds to the LUT maximum,
-            # so every row keeps at least one selectable label.
-            top = (1 << self.weight_bits) - 1
-            weights = np.rint(weights * top)
-        return weights
-
-    def _sample_batch(self, energies: np.ndarray, temperature: float) -> np.ndarray:
-        weights = self.weights_for(energies, temperature)
-        cdf = np.cumsum(weights, axis=1)
-        totals = cdf[:, -1]
-        draws = self._source.uniforms(energies.shape[0]) * totals
-        # First index whose cumulative weight exceeds the draw.
-        return (cdf <= draws[:, None]).sum(axis=1).clip(max=energies.shape[1] - 1)
-
-    def sample_into(
-        self,
+    @classmethod
+    def sample_chains_into(
+        cls,
+        samplers,
         energies: np.ndarray,
-        temperature: float,
+        temperatures,
         out: np.ndarray,
         scratch: SampleScratch,
     ) -> np.ndarray:
-        """Fused inverse-CDF draw: same labels and variate stream, no allocs.
+        """Inverse-CDF draws for a ``(K, sites, labels)`` block, chain by chain.
 
-        Mirrors :meth:`_sample_batch` op for op through scratch buffers —
-        quantize, scale, ``exp``, (optional) weight rounding, row
-        ``cumsum``, then one buffered ``uniforms(count, out=)`` block
-        from the bit source (the identical words, in the identical
-        order, the allocating call would consume) and the comparison
-        count.  Byte-identical to :meth:`sample` for every source —
-        ideal, LFSR, or MT19937 backed.
+        Per chain: quantize, scale, ``exp``, (optional) weight rounding
+        and row ``cumsum`` through scratch buffers, then one
+        ``uniforms(count, out=)`` block from that chain's bit source and
+        the comparison count — the first label whose cumulative weight
+        exceeds the scaled draw.  Each chain is its own dispatch: the
+        bit sources are stateful objects (ideal, LFSR or MT19937 backed)
+        with no shared block draw, so nothing is gained by stacking.
         """
-        if energies.ndim != 2 or energies.shape[1] < 1 or energies.shape[0] < 1:
+        if energies.ndim != 3 or energies.shape[2] < 1 or energies.shape[1] < 1:
             raise DataError(
-                f"energies must be (n_sites, n_labels), got shape {energies.shape}"
+                f"energies must be (chains, n_sites, n_labels), got shape {energies.shape}"
             )
-        check_positive("temperature", temperature)
-        record_sampler_batch(energies.shape[0])
-        shape = energies.shape
+        shape = energies.shape[1:]
         work = scratch.buf("cdf_quantize_work", shape, np.float64)
         quantized = scratch.buf("cdf_quantized", shape, np.int64)
-        self.energy_stage.quantize_into(energies, quantized, work)
-        t_grid = self.energy_stage.quantized_temperature(float(temperature))
         weights = scratch.buf("cdf_weights", shape, np.float64)
-        np.copyto(weights, quantized, casting="unsafe")  # exact int -> float
         row_min = scratch.buf("cdf_row_min", (shape[0], 1), np.float64)
-        np.amin(weights, axis=1, keepdims=True, out=row_min)
-        np.subtract(weights, row_min, out=weights)
-        np.negative(weights, out=weights)
-        np.divide(weights, t_grid, out=weights)
-        np.exp(weights, out=weights)
-        if self.weight_bits is not None:
-            top = (1 << self.weight_bits) - 1
-            np.multiply(weights, top, out=weights)
-            np.rint(weights, out=weights)
         cdf = scratch.buf("cdf_cumsum", shape, np.float64)
-        np.cumsum(weights, axis=1, out=cdf)
         draws = scratch.buf("cdf_draws", (shape[0],), np.float64)
-        self._source.uniforms(shape[0], out=draws)
-        np.multiply(draws, cdf[:, -1], out=draws)
         exceeded = scratch.buf("cdf_exceeded", shape, np.bool_)
-        np.less_equal(cdf, draws[:, None], out=exceeded)
-        np.sum(exceeded, axis=1, out=out)
-        np.minimum(out, shape[1] - 1, out=out)
+        for index, sampler in enumerate(samplers):
+            temperature = temperatures[index]
+            check_positive("temperature", temperature)
+            record_sampler_batch(shape[0])
+            sampler.energy_stage.quantize_into(energies[index], quantized, work)
+            t_grid = sampler.energy_stage.quantized_temperature(float(temperature))
+            np.copyto(weights, quantized, casting="unsafe")  # exact int -> float
+            np.amin(weights, axis=1, keepdims=True, out=row_min)
+            np.subtract(weights, row_min, out=weights)
+            np.negative(weights, out=weights)
+            np.divide(weights, t_grid, out=weights)
+            np.exp(weights, out=weights)
+            if sampler.weight_bits is not None:
+                # The minimum-energy label always rounds to the LUT
+                # maximum, so every row keeps a selectable label.
+                top = (1 << sampler.weight_bits) - 1
+                np.multiply(weights, top, out=weights)
+                np.rint(weights, out=weights)
+            np.cumsum(weights, axis=1, out=cdf)
+            sampler._source.uniforms(shape[0], out=draws)
+            np.multiply(draws, cdf[:, -1], out=draws)
+            np.less_equal(cdf, draws[:, None], out=exceeded)
+            np.sum(exceeded, axis=1, out=out[index])
+            np.minimum(out[index], shape[1] - 1, out=out[index])
         return out

@@ -7,11 +7,13 @@ with bit-accurate RSU-G semantics: quantize the energy
 draw a binned exponential TTF (``Time_bits``, ``Truncation``) per
 label, and select the first label to fire.
 
-The reference :meth:`~SamplerBackend.sample` allocates its
-intermediates; the fused :meth:`RSUGSampler.sample_chains_into` used by
-the sweep engine (and :meth:`RSUGSampler.sample_into` for one chain)
-chains quantize -> LUT gather -> TTF -> first-to-fire through reusable
-workspace buffers.  All are byte-identical, including RNG consumption.
+Every draw — the sweep engine's and :meth:`~SamplerBackend.sample`'s
+K=1 case — goes through the fused :meth:`RSUGSampler.sample_chains_into`,
+which chains quantize -> LUT gather -> TTF -> first-to-fire through
+reusable workspace buffers.  The allocating
+:meth:`RSUGSampler._sample_batch` remains for a replaced TTF stage
+(noise injection, SPAD faults), whose own ``sample`` it calls; it
+consumes every RNG stream exactly as the fused path does.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.core.base import (
     record_sampler_batch,
     select_first_to_fire,
     select_first_to_fire_chains_into,
-    select_first_to_fire_into,
 )
 from repro.core.convert import (
     conversion_lut,
@@ -123,43 +124,6 @@ class RSUGSampler(SamplerBackend):
         ttf = self._ttf.sample(codes)
         return select_first_to_fire(ttf, self.config.tie_policy, self._rng)
 
-    def sample_into(
-        self,
-        energies: np.ndarray,
-        temperature: float,
-        out: np.ndarray,
-        scratch: SampleScratch,
-    ) -> np.ndarray:
-        """Fused RSU pipeline through workspace buffers (byte-identical).
-
-        quantize -> LUT gather -> TTF -> select, with zero steady-state
-        allocations beyond the gather results.  A replaced TTF stage
-        (e.g. noise injection) falls back to the reference path
-        wholesale so its semantics are preserved.
-        """
-        if not self._ttf_fusable:
-            return super().sample_into(energies, temperature, out, scratch)
-        if energies.ndim != 2 or energies.shape[1] < 1 or energies.shape[0] < 1:
-            raise DataError(
-                f"energies must be (n_sites, n_labels), got shape {energies.shape}"
-            )
-        check_positive("temperature", temperature)
-        record_sampler_batch(energies.shape[0])
-        temperature = float(temperature)
-        _, table = self._stage_constants(temperature)
-        shape = energies.shape
-        work = scratch.buf("rsu_quantize_work", shape, np.float64)
-        quantized = scratch.buf("rsu_quantized", shape, np.int64)
-        self.energy_stage.quantize_into(energies, quantized, work)
-        codes = scratch.buf("rsu_codes", shape, np.int64)
-        row_min = scratch.buf("rsu_row_min", (shape[0], 1), np.int64)
-        lambda_codes_lut_into(quantized, table, self.config, codes, row_min)
-        ttf = scratch.buf("rsu_ttf", shape, self._ttf_dtype(shape[1]))
-        self._ttf.sample_into(codes, ttf, scratch)
-        return select_first_to_fire_into(
-            ttf, self.config.tie_policy, self._rng, out, scratch
-        )
-
     def _ttf_dtype(self, n_labels: int):
         """Output dtype of the fused TTF stage.
 
@@ -191,13 +155,19 @@ class RSUGSampler(SamplerBackend):
         (ensembles) and a :func:`stacked_conversion_lut` with per-chain
         index offsets when the ladder differs (tempering); the TTF and
         selection stages fill per-chain entropy slabs and batch the
-        rest.  Byte-identical to K sequential :meth:`sample_into` calls.
+        rest.  Byte-identical to K sequential :meth:`_sample_batch`
+        calls, including RNG consumption.
 
-        Chains whose design points differ — different config, energy
-        stage or replaced TTF stage — fall back to the base per-chain
-        loop, which is byte-identical by the :meth:`sample_into`
-        contract.  A single chain (one solve) skips the comparison.
+        Chains whose design points differ — different config or energy
+        stage — run one at a time; a chain with a replaced TTF stage
+        (noise injection, SPAD faults) runs :meth:`_sample_batch`, the
+        only path that calls that stage's own ``sample``.  A single
+        chain (one solve) skips the comparison.
         """
+        if energies.ndim != 3 or energies.shape[2] < 1 or energies.shape[1] < 1:
+            raise DataError(
+                f"energies must be (chains, n_sites, n_labels), got shape {energies.shape}"
+            )
         first = samplers[0]
         compatible = first._ttf_fusable and all(
             sampler._ttf_fusable
@@ -207,13 +177,22 @@ class RSUGSampler(SamplerBackend):
             for sampler in samplers[1:]
         )
         if not compatible:
-            return super().sample_chains_into(
-                samplers, energies, temperatures, out, scratch
-            )
-        if energies.ndim != 3 or energies.shape[2] < 1 or energies.shape[1] < 1:
-            raise DataError(
-                f"energies must be (chains, n_sites, n_labels), got shape {energies.shape}"
-            )
+            for index, sampler in enumerate(samplers):
+                if sampler._ttf_fusable:
+                    cls.sample_chains_into(
+                        [sampler],
+                        energies[index : index + 1],
+                        temperatures[index : index + 1],
+                        out[index : index + 1],
+                        scratch,
+                    )
+                else:
+                    check_positive("temperature", temperatures[index])
+                    record_sampler_batch(energies.shape[1])
+                    out[index] = sampler._sample_batch(
+                        energies[index], float(temperatures[index])
+                    )
+            return out
         for temperature in temperatures:
             check_positive("temperature", temperature)
         constants = [

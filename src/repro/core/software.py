@@ -4,7 +4,9 @@ Samples labels with probability proportional to ``exp(-E_i / T)`` in
 IEEE double precision.  Implemented with the Gumbel-max identity, which
 is exact and numerically robust for arbitrarily large energies:
 ``argmax_i (-E_i / T + G_i)`` with iid standard Gumbel ``G_i`` is a
-categorical draw with the softmax probabilities.
+categorical draw with the softmax probabilities.  Both backends here
+draw only through their chain-batched ``sample_chains_into``; the
+literal reference formulas live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,48 +34,6 @@ class SoftwareSampler(SamplerBackend):
     def setstate(self, state: dict) -> None:
         set_generator_state(self._rng, state["rng"])
 
-    def _sample_batch(self, energies: np.ndarray, temperature: float) -> np.ndarray:
-        gumbel = -np.log(-np.log1p(-self._rng.random(energies.shape)))
-        scores = -energies / temperature + gumbel
-        return np.argmax(scores, axis=1)
-
-    def sample_into(
-        self,
-        energies: np.ndarray,
-        temperature: float,
-        out: np.ndarray,
-        scratch: SampleScratch,
-    ) -> np.ndarray:
-        """Fused Gumbel-max draw: same labels and RNG stream, no allocs.
-
-        The uniform block is prefetched into a reused buffer and the
-        whole ``-log(-log1p(-u))`` / score chain runs in place, op for
-        op the reference formula, so the result is byte-identical to
-        :meth:`sample`.
-        """
-        if energies.ndim != 2 or energies.shape[1] < 1 or energies.shape[0] < 1:
-            raise DataError(
-                f"energies must be (n_sites, n_labels), got shape {energies.shape}"
-            )
-        check_positive("temperature", temperature)
-        record_sampler_batch(energies.shape[0])
-        tel = obs.active()
-        if tel is not None:
-            tel.inc("entropy.uniforms", energies.size)
-        gumbel = scratch.buf("gumbel", energies.shape, np.float64)
-        self._rng.random(out=gumbel)
-        np.negative(gumbel, out=gumbel)
-        np.log1p(gumbel, out=gumbel)
-        np.negative(gumbel, out=gumbel)
-        np.log(gumbel, out=gumbel)
-        np.negative(gumbel, out=gumbel)
-        scores = scratch.buf("gumbel_scores", energies.shape, np.float64)
-        np.divide(energies, float(temperature), out=scores)
-        np.negative(scores, out=scores)
-        np.add(scores, gumbel, out=scores)
-        np.argmax(scores, axis=1, out=out)
-        return out
-
     @classmethod
     def sample_chains_into(
         cls,
@@ -90,8 +50,8 @@ class SoftwareSampler(SamplerBackend):
         running alone — then the whole ``-log(-log1p(-u))`` / score
         chain runs once over the stacked block, dividing by a
         ``(K, 1, 1)`` per-chain temperature column.  Elementwise ufuncs
-        are block-shape invariant, so the result is byte-identical to K
-        sequential :meth:`sample_into` calls.
+        are block-shape invariant, so each chain gets the labels of the
+        reference ``argmax(-E / T + Gumbel)`` draw on its own block.
         """
         if energies.ndim != 3 or energies.shape[2] < 1 or energies.shape[1] < 1:
             raise DataError(
@@ -130,26 +90,6 @@ class GreedySampler(SamplerBackend):
     """
 
     name = "greedy"
-
-    def _sample_batch(self, energies: np.ndarray, temperature: float) -> np.ndarray:
-        return np.argmin(energies, axis=1)
-
-    def sample_into(
-        self,
-        energies: np.ndarray,
-        temperature: float,
-        out: np.ndarray,
-        scratch: SampleScratch,
-    ) -> np.ndarray:
-        """Allocation-free ICM step (argmin straight into ``out``)."""
-        if energies.ndim != 2 or energies.shape[1] < 1 or energies.shape[0] < 1:
-            raise DataError(
-                f"energies must be (n_sites, n_labels), got shape {energies.shape}"
-            )
-        check_positive("temperature", temperature)
-        record_sampler_batch(energies.shape[0])
-        np.argmin(energies, axis=1, out=out)
-        return out
 
     @classmethod
     def sample_chains_into(

@@ -5,6 +5,13 @@ rate is the selected code times ``lambda0`` and measures the time until
 the SPAD observes a photon (Sec. II-C).  The measurement is quantized
 into ``2**Time_bits`` unit bins; samples beyond the detection window
 are truncated (Sec. III-C3).
+
+:meth:`TTFSampler.sample` (and :meth:`TTFSampler.sample_rows`, for
+pre-drawn uniforms) bins through the allocating
+:func:`bins_from_uniforms`, which the device and the per-cycle machines
+call on small blocks; the sweep kernel's
+:meth:`TTFSampler.sample_chains_into` bins a chain-stacked block through
+reused buffers.  Both produce the same bins for the same uniforms.
 """
 
 from __future__ import annotations
@@ -95,40 +102,26 @@ class TTFSampler:
         _record_ttf_draw(codes.size)
         return bins_from_uniforms(self.config, codes, uniforms)
 
-    def sample_into(
-        self, codes: np.ndarray, out: np.ndarray, scratch: SampleScratch
-    ) -> np.ndarray:
-        """Fused :meth:`sample`: same bins and RNG stream, reused buffers.
-
-        The entropy block is prefetched straight into a reusable buffer
-        (``rng.random(out=...)`` draws the identical variates in the
-        identical order as ``rng.random(shape)``), the active lanes are
-        compressed into workspace views with ``np.compress(..., out=)``
-        (so cut-off lanes do no transcendental work — typically >80 % of
-        lanes late in an annealed solve), and the results scatter back
-        with ``np.place``.  Steady-state calls perform zero allocations.
-        """
-        if codes.size and codes.min() < 0:
-            raise ConfigError("decay-rate codes must be non-negative")
-        _record_ttf_draw(codes.size)
-        uniforms = scratch.buf("ttf_uniforms", codes.shape, np.float64)
-        self._rng.random(out=uniforms)
-        return _finish_fused_sample(self.config, codes, uniforms, out, scratch)
-
     @staticmethod
     def sample_chains_into(
         ttf_samplers, codes: np.ndarray, out: np.ndarray, scratch: SampleScratch
     ) -> np.ndarray:
-        """Chain-batched :meth:`sample_into` over a ``(K, sites, labels)`` block.
+        """Chain-batched :meth:`sample` over a ``(K, sites, labels)`` block.
 
         ``ttf_samplers[k]`` supplies chain ``k``'s RET entropy; all K
         must share one design point (the caller checks — the batched RSU
         path only dispatches here for config-identical chains).  Each
-        chain's uniform slab is prefetched from its own generator — the
-        identical block that chain would draw running alone — and the
-        binning tail then runs once over the whole stacked block, which
-        is elementwise/compress work and therefore byte-identical to K
-        sequential :meth:`sample_into` calls.
+        chain's uniform slab is prefetched straight into a reused buffer
+        from its own generator (``rng.random(out=...)`` draws the
+        identical variates, in the identical order, as the block that
+        chain would draw running alone).  The binning tail then runs
+        once over the whole stacked block: the active lanes are
+        compressed into workspace views with ``np.compress(..., out=)``
+        (so cut-off lanes do no transcendental work — typically >80 % of
+        lanes late in an annealed solve) and scatter back with
+        ``np.place``.  That is elementwise/compress work, so each chain
+        gets exactly the bins of K sequential :meth:`sample` calls, and
+        steady-state calls perform zero allocations.
         """
         if codes.size and codes.min() < 0:
             raise ConfigError("decay-rate codes must be non-negative")
@@ -156,12 +149,11 @@ def _finish_fused_sample(
     out: np.ndarray,
     scratch: SampleScratch,
 ) -> np.ndarray:
-    """Shared binning tail of the fused TTF paths (post-uniform-fill).
+    """Binning tail of :meth:`TTFSampler.sample_chains_into` (post-uniform-fill).
 
-    Operates on arrays of any shape — the single-chain ``(sites, labels)``
-    matrix and the chain-batched ``(K, sites, labels)`` block flow
-    through identical flat/elementwise ops (mask, compress pools, place),
-    so stacking chains cannot change any bin.
+    Flat/elementwise ops only (mask, compress pools, place), so stacking
+    chains cannot change any bin; the op chain mirrors
+    :func:`bins_from_uniforms` op for op.
     """
     active = scratch.buf("ttf_active_mask", codes.shape, np.bool_)
     np.greater(codes, 0, out=active)

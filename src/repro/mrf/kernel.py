@@ -246,7 +246,8 @@ class BatchedSweepWorkspace:
         see every earlier class's fresh labels.  When every chain shares
         one backend type and none needs the current labels, each colour
         class is sampled through a single ``sample_chains_into`` call;
-        otherwise the per-chain loop runs, passing the sites' current
+        otherwise the per-chain loop runs each chain as its backend's
+        K=1 ``sample_chains_into`` case, passing the sites' current
         labels to ``sample_given_current`` where a backend wants them
         (e.g. the Metropolis-Hastings samplers).
         """
@@ -278,9 +279,9 @@ class BatchedSweepWorkspace:
                             energies[k], temperatures[k], plan.current
                         )
                     else:
-                        sampler.sample_into(
-                            energies[k], temperatures[k], plan.labels_out[k],
-                            plan.scratch,
+                        type(sampler).sample_chains_into(
+                            [sampler], energies[k : k + 1], temperatures[k : k + 1],
+                            plan.labels_out[k : k + 1], plan.scratch,
                         )
             labels_flat[plan.site_flat] = plan.labels_out_flat
             self._padded_flat[plan.pad_flat] = plan.labels_out_flat

@@ -106,13 +106,18 @@ class _SelectionTracker:
         self._ttfs[variable_id] = [None] * labels
         self._expected[variable_id] = labels
 
-    def deliver(self, variable_id: int, label: int, ttf: int) -> Optional[int]:
-        """Record one TTF; return the winner when the variable completes."""
+    def deliver(self, variable_id: int, label: int, ttf) -> Optional[int]:
+        """Record one TTF; return the winner when the variable completes.
+
+        The row keeps the TTFs' own dtype: integer bins select on
+        integer keys, float-time TTFs on float keys (cut-off ``+inf``
+        lanes lose to every live one).
+        """
         slot = self._ttfs[variable_id]
         slot[label] = ttf
         self._expected[variable_id] -= 1
         if self._expected[variable_id] == 0:
-            ttf_row = np.asarray([slot], dtype=np.int64)
+            ttf_row = np.asarray([slot])
             winner = select_first_to_fire(ttf_row, self._tie_policy, self._rng)[0]
             del self._ttfs[variable_id], self._expected[variable_id]
             return int(winner)
@@ -452,7 +457,7 @@ class NewMachine:
                     if proceed:
                         network_last_use[network] = window_index
                 if proceed:
-                    ttf = int(self._ttf_sampler.sample(np.array([[code]]))[0, 0])
+                    ttf = self._ttf_sampler.sample(np.array([[code]]))[0, 0]
                     completions.setdefault(cycle + self.window - 1, []).append(
                         (variable_id, label, ttf)
                     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SamplerBackend, select_first_to_fire
+from repro.core import SamplerBackend, SampleScratch, select_first_to_fire
 from repro.util import DataError
 from repro.util.errors import ConfigError
 
@@ -13,6 +13,21 @@ class _Constant(SamplerBackend):
 
     def _sample_batch(self, energies, temperature):
         return np.zeros(energies.shape[0], dtype=np.int64)
+
+
+class _Kernel(SamplerBackend):
+    name = "kernel"
+    calls = []
+
+    @classmethod
+    def sample_chains_into(cls, samplers, energies, temperatures, out, scratch):
+        cls.calls.append((energies.shape, tuple(temperatures)))
+        out[...] = 1
+        return out
+
+
+class _NoDraw(SamplerBackend):
+    name = "no-draw"
 
 
 class TestSampleContract:
@@ -27,6 +42,29 @@ class TestSampleContract:
     def test_returns_int64(self):
         out = _Constant().sample(np.zeros((2, 3)), 1.0)
         assert out.dtype == np.int64 and out.shape == (2,)
+
+    def test_kernel_backend_serves_sample_as_its_one_chain_case(self):
+        _Kernel.calls.clear()
+        out = _Kernel().sample(np.zeros((2, 3)), 0.5)
+        assert out.tolist() == [1, 1] and out.dtype == np.int64
+        assert _Kernel.calls == [((1, 2, 3), (0.5,))]
+
+    def test_base_chain_loop_draws_through_sample(self):
+        out = np.full((2, 3), 7, dtype=np.int64)
+        SamplerBackend.sample_chains_into(
+            [_Constant(), _Constant()], np.ones((2, 3, 4)), [1.0, 2.0], out,
+            SampleScratch(),
+        )
+        assert out.tolist() == [[0, 0, 0], [0, 0, 0]]
+
+    def test_backend_without_a_draw_fails_clearly(self):
+        with pytest.raises(NotImplementedError, match="neither"):
+            _NoDraw().sample(np.zeros((2, 3)), 1.0)
+        with pytest.raises(NotImplementedError, match="neither"):
+            SamplerBackend.sample_chains_into(
+                [_NoDraw()], np.zeros((1, 2, 3)), [1.0],
+                np.empty((1, 2), dtype=np.int64), SampleScratch(),
+            )
 
 
 class TestSelection:

@@ -165,6 +165,22 @@ class TestNewMachine:
         share = (winners == 0).mean()
         assert 0.82 < share < 0.95  # ideal 8/9 = 0.889
 
+    def test_float_time_run_never_picks_a_cut_off_label(self):
+        # A cut-off label's float TTF is +inf; the run must select on
+        # the float values instead of truncating them to integers.
+        config = new_design_config(float_time=True)
+        small = NewMachine(config, 4.0, np.random.default_rng(0))
+        result = small.run_matrix(np.array([[0, 255, 3, 200], [10, 0, 250, 255]]))
+        assert set(result.winners) == {0, 1}
+        energies = np.random.default_rng(10).integers(0, 40, size=(60, 5))
+        machine = NewMachine(config, 4.0, np.random.default_rng(11))
+        result = machine.run_matrix(energies)
+        scaled = energies - energies.min(axis=1, keepdims=True)
+        live = np.vectorize(machine._convert)(scaled) > 0
+        winners = np.array([result.winners[v] for v in range(len(energies))])
+        assert np.all(live[np.arange(len(energies)), winners])
+        assert np.any(live.sum(axis=1) < live.shape[1])  # cut-off labels exist
+
 
 class TestMachineResult:
     def test_latency_helper(self):
