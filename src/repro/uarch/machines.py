@@ -245,7 +245,7 @@ class LegacyMachine:
                 else:
                     variable_id, label, code = lut_latch
                     units_busy_until[unit] = cycle + self.window - 1
-                    ttf = int(self._ttf_sampler.sample(np.array([[code]]))[0, 0])
+                    ttf = self._ttf_sampler.sample(np.array([[code]]))[0, 0]
                     completions.setdefault(cycle + self.window - 1, []).append(
                         (variable_id, label, ttf)
                     )

@@ -324,8 +324,10 @@ DIGESTS = {
     "machine-legacy": (
         "c0f9e45bf64812f67222a91503151efdbbb9bac520483557af53d6663c6ba444"
     ),
+    # Re-recorded when the legacy machine stopped flooring float-time
+    # TTFs: it now selects on the continuous times, as the new one does.
     "machine-legacy-float_time": (
-        "c0f9e45bf64812f67222a91503151efdbbb9bac520483557af53d6663c6ba444"
+        "3be68d7ea8aeffd1021dab820cedc689108dd692cfd0cf4a7b4671f13226516a"
     ),
     "machine-legacy-traced": (
         "4bb9bafe2937816c6d99fcd0919e1690c5a7b1a92834f0b4c7dc5f4bfbd0c964"

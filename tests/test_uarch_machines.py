@@ -86,6 +86,25 @@ class TestLegacyMachine:
         with pytest.raises(ConfigError):
             machine.run([])
 
+    @pytest.mark.parametrize("tie", ["first", "last", "random"])
+    def test_float_time_run_selects_the_earlier_time_within_a_bin(self, tie):
+        # Both labels fire inside the unit bin [2, 3): the float-time
+        # machine must select the earlier time, not floor both to a tie
+        # that the policy then decides.
+        config = legacy_design_config(float_time=True, tie_policy=tie)
+        machine = LegacyMachine(config, 40.0, np.random.default_rng(0))
+        early, late = int(machine._lut[0]), int(machine._lut[30])
+        assert early > late > 0
+
+        class TwoTimes:
+            def sample(self, codes):
+                return np.where(codes == early, 2.25, 2.75)
+
+        machine._ttf_sampler = TwoTimes()
+        energies = np.array([[0, 30], [30, 0]] * 8)
+        result = machine.run_matrix(energies)
+        assert [result.winners[v] for v in range(len(energies))] == [0, 1] * 8
+
 
 class TestNewMachine:
     def test_requires_full_technique_stack(self):
