@@ -10,7 +10,8 @@ for bit live here, where only tests reach them:
   argmin and inverse-CDF formulas (with the CDF unit's per-label
   weights), and the RSU-G stages allocated one by one, optionally with
   the direct per-site ``exp`` λ-conversion instead of the table, ending
-  in a first-to-fire selection on freshly allocated keys;
+  in a first-to-fire selection on freshly allocated keys for every row,
+  and the count of rows whose winner needs the tie order;
 * the reference sweep — ``GridMRF.site_energies`` plus the reference
   draw per colour class;
 * solver, ensemble and tempering runs built from it: K independent
@@ -82,6 +83,18 @@ def first_to_fire(ttf, tie_policy, rng):
     else:
         keys = ttf.astype(np.int64) * n_labels + order
     return np.argmin(keys, axis=-1)
+
+
+def tied_row_count(ttf):
+    """Rows of ``ttf`` whose winner needs the tie order.
+
+    An integer row ties when its minimum repeats; a float-time row only
+    when its minimum is ``+inf`` (every label cut off).
+    """
+    minima = ttf.min(axis=-1, keepdims=True)
+    if np.issubdtype(ttf.dtype, np.floating):
+        return int(np.count_nonzero(np.isinf(minima)))
+    return int(np.count_nonzero((ttf == minima).sum(axis=-1) > 1))
 
 
 def rsu_sample(sampler, energies, temperature, lut=True):
