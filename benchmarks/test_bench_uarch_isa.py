@@ -13,6 +13,7 @@ from repro.uarch import (
     NewMachine,
     jobs_from_energies,
 )
+from tests.oracles import ScalarCycleCountingBackend, run_per_cycle
 
 
 def test_bench_structural_machines(benchmark, bench_profile):
@@ -39,7 +40,7 @@ def test_bench_structural_machines(benchmark, bench_profile):
         ("new", new_design_config(), new),
     ):
         machine_cls = LegacyMachine if design == "legacy" else NewMachine
-        oracle = machine_cls(config, 40.0, np.random.default_rng(1))._run_scalar(jobs)
+        oracle = run_per_cycle(machine_cls(config, 40.0, np.random.default_rng(1)), jobs)
         assert fast.winners == oracle.winners
         assert fast.winner_cycle == oracle.winner_cycle
         assert fast.total_cycles == oracle.total_cycles
@@ -53,12 +54,12 @@ def test_bench_scalar_oracle_machines(benchmark, bench_profile):
     )
 
     def run_both():
-        legacy = LegacyMachine(
-            legacy_design_config(), 40.0, np.random.default_rng(1)
-        )._run_scalar(jobs)
-        new = NewMachine(
-            new_design_config(), 40.0, np.random.default_rng(1)
-        )._run_scalar(jobs)
+        legacy = run_per_cycle(
+            LegacyMachine(legacy_design_config(), 40.0, np.random.default_rng(1)), jobs
+        )
+        new = run_per_cycle(
+            NewMachine(new_design_config(), 40.0, np.random.default_rng(1)), jobs
+        )
         return legacy, new
 
     legacy, new = run_once(benchmark, run_both)
@@ -90,17 +91,6 @@ def test_bench_interface_traffic(benchmark, bench_profile):
     assert new_traffic["stall_cycles"] == 0
 
 
-class _PerCycleBackend(CycleCountingBackend):
-    """Runs every batch on the machines' per-cycle specification."""
-
-    def _machine_for(self, grid_temperature):
-        machine = super()._machine_for(grid_temperature)
-        machine.run_matrix = lambda quantized: machine._run_scalar(
-            jobs_from_energies(quantized)
-        )
-        return machine
-
-
 def test_event_engine_beats_per_cycle_machines():
     """A machine-in-the-loop stereo solve (every Gibbs batch through
     ``NewMachine``): the event-driven engine is cycle-identical to the
@@ -124,7 +114,7 @@ def test_event_engine_beats_per_cycle_machines():
         return time.perf_counter() - started, labels, backend
 
     event_s, labels_event, event = solve(CycleCountingBackend)
-    scalar_s, labels_scalar, scalar = solve(_PerCycleBackend)
+    scalar_s, labels_scalar, scalar = solve(ScalarCycleCountingBackend)
     assert np.array_equal(labels_event, labels_scalar)
     assert event.total_cycles == scalar.total_cycles
     assert event.batch_cycles == scalar.batch_cycles

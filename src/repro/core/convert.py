@@ -313,6 +313,27 @@ def cached_legacy_lut(temperature: float, config: RSUConfig) -> np.ndarray:
     return _cached_legacy_lut(float(temperature), config)
 
 
+def boundary_codes(
+    bounds: np.ndarray, scaled_energy: np.ndarray, lambda_max_code: int
+) -> np.ndarray:
+    """Codes of scaled energies against one boundary-register table.
+
+    ``bounds`` ascends as the code halves (lambda_max down to 1), so the
+    first boundary at or above an energy names its code; energies beyond
+    the last boundary are cut off.  One searchsorted replaces the
+    per-boundary comparator walk; the ``+ 1e-12`` slop matches the
+    comparison ``scaled <= bound + 1e-12`` bit for bit.
+    """
+    interval = np.searchsorted(bounds + 1e-12, scaled_energy, side="left")
+    code_of_interval = np.concatenate(
+        [
+            lambda_max_code >> np.arange(bounds.size, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+        ]
+    )
+    return code_of_interval[interval]
+
+
 def lambda_codes_by_boundaries(
     quantized_energy: np.ndarray, temperature: float, config: RSUConfig
 ) -> np.ndarray:
@@ -322,19 +343,7 @@ def lambda_codes_by_boundaries(
         raise ConfigError(f"quantized_energy must be 2-D, got shape {energy.shape}")
     scaled = energy - energy.min(axis=1, keepdims=True)
     bounds = boundary_table(temperature, config)
-    # ``bounds`` ascends as the code halves (lambda_max down to 1), so
-    # the first boundary at or above an energy names its code; energies
-    # beyond the last boundary are cut off.  One searchsorted replaces
-    # the per-boundary masking loop; the ``+ 1e-12`` slop matches the
-    # scalar comparison ``scaled <= bound + 1e-12`` bit for bit.
-    interval = np.searchsorted(bounds + 1e-12, scaled, side="left")
-    code_of_interval = np.concatenate(
-        [
-            config.lambda_max_code >> np.arange(bounds.size, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-        ]
-    )
-    return code_of_interval[interval]
+    return boundary_codes(bounds, scaled, config.lambda_max_code)
 
 
 def legacy_lut(temperature: float, config: RSUConfig) -> np.ndarray:

@@ -8,8 +8,8 @@ are truncated (Sec. III-C3).
 
 :meth:`TTFSampler.sample` (and :meth:`TTFSampler.sample_rows`, for
 pre-drawn uniforms) bins through the allocating
-:func:`bins_from_uniforms`, which the device and the per-cycle machines
-call on small blocks; the sweep kernel's
+:func:`bins_from_uniforms`, which the device calls on small blocks and
+the µarch event engine on a whole run's evaluations; the sweep kernel's
 :meth:`TTFSampler.sample_chains_into` bins a chain-stacked block through
 reused buffers.  Both produce the same bins for the same uniforms.
 """
@@ -122,9 +122,11 @@ class TTFSampler:
         ``np.place``.  That is elementwise/compress work, so each chain
         gets exactly the bins of K sequential :meth:`sample` calls, and
         steady-state calls perform zero allocations.
+
+        ``codes`` come straight from the conversion tables, whose entries
+        lie in ``[0, lambda_max_code]``, so unlike :meth:`sample` (the
+        entry point for outside codes) this path does not re-check them.
         """
-        if codes.size and codes.min() < 0:
-            raise ConfigError("decay-rate codes must be non-negative")
         _record_ttf_draw(codes.size)
         uniforms = scratch.buf("ttf_uniforms", codes.shape, np.float64)
         for index, sampler in enumerate(ttf_samplers):

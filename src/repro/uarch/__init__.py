@@ -15,20 +15,22 @@ package *executes* the two pipelines cycle by cycle:
   cycle; temperature updates stream into shadow boundary registers with
   zero stalls.
 
-Both machines draw their TTFs from the same functional
-:class:`~repro.core.ttf.TTFSampler`, so their outputs are
+Both machines bin their TTFs with the functional RET stage's
+:func:`~repro.core.ttf.bins_from_uniforms` (the binning chain of
+:class:`~repro.core.ttf.TTFSampler`), so their outputs are
 distributionally identical to the functional simulators — the tests
 assert that, plus the structural invariants (no structural hazards, at
 most two variables resident in the FIFO, no RET-network reuse before
 the residual-excitation rest interval).
 
 Both machines run on the event-driven batched engine in
-:mod:`repro.uarch.events`, which computes the identical
-:class:`MachineResult` — cycle for cycle, bit for bit — from scheduled
-events and vectorized numpy instead of per-cycle latch stepping.  The
-per-cycle loops remain as the readable specification: they run
-whenever a :class:`PipelineTrace` is attached or the config uses
-``float_time``, and the tests check the event engine against them.
+:mod:`repro.uarch.events`, which computes each run's
+:class:`MachineResult` — cycle for cycle, bit for bit the one the
+per-cycle latch loop would produce — from scheduled events and
+vectorized numpy.  Traced runs expand the same timestamps into
+:class:`PipelineTrace` events, and ``float_time`` runs select on float
+TTFs; the per-cycle loop itself is the tests' reference
+(``tests/oracles.py``).
 """
 
 from repro.uarch.backend import CycleCountingBackend, MachineBackend

@@ -1,24 +1,21 @@
 """Event-driven batched timing engine for the structural RSU-G machines.
 
-The scalar machines in :mod:`repro.uarch.machines` step **every cycle**
-and, inside the cycle loop, scan every pending completion and every
-FIFO slot.  That is the right shape for an oracle — each latch is
-explicit and every paper figure maps onto one ``if`` — but it makes
-machine-in-the-loop solves O(cycles · state) with a large Python
-constant: one ``rng.random((1, 1))`` NumPy round-trip *per label*, one
-``sorted(completions)`` scan *per cycle*.
-
-This module recomputes the **same machine, cycle for cycle**, from its
-scheduled events instead:
+Both pipelines are specified cycle by cycle: every latch advances in a
+fixed step order each cycle, and each paper figure maps onto one step
+(``tests/oracles.py`` keeps that per-cycle loop as the reference).
+Stepping every cycle costs O(cycles · state) with a large Python
+constant — one ``rng.random((1, 1))`` NumPy round-trip *per label*, one
+scan of the pending completions *per cycle* — so the machines run on
+this module instead, which computes the **same machine, cycle for
+cycle**, from its scheduled events:
 
 * **Issue events** are closed-form: both front ends issue one label per
   cycle, so the issue cycle of every evaluation is a cumulative sum over
   the job stream (plus, for the previous design, the LUT-rewrite stall
   blocks).
-* **Completion events** replace the per-cycle ``sorted(completions)``
-  scan: a RET observation scheduled at cycle ``r`` *is* its completion
-  event at ``r + window - 1`` — nothing needs to be discovered by
-  polling.  Idle cycles are never visited.
+* **Completion events** need no polling: a RET observation scheduled at
+  cycle ``r`` *is* its completion event at ``r + window - 1``.  Idle
+  cycles are never visited.
 * **Back-end occupancy** of the new design is a pair of max-plus
   recurrences over the pop/convert/RET latches.  Under
   ``conflict_policy="count"`` nothing feeds back into timing, so the
@@ -27,24 +24,25 @@ scheduled events instead:
   event loop (one step per *evaluation*, not per cycle) walks the
   :class:`EventQueue` of winner deliveries and shadow-register updates.
 * **Entropy** is drawn in one batched ``rng.random(total)`` call.  The
-  scalar machine consumes one uniform per RET issue and, under the
+  per-cycle machine consumes one uniform per RET issue and, under the
   ``random`` tie policy, one row of uniforms per variable completion —
   interleaved in cycle order.  A NumPy ``Generator`` fills a bulk
   request from the identical double stream as repeated scalar requests,
   so slicing the bulk draw at the event-ordered offsets reproduces the
-  scalar values bit for bit *and* leaves the generator in the identical
-  final state.
+  per-cycle values bit for bit *and* leaves the generator in the
+  identical final state.  ``float_time`` configs take the same path:
+  :func:`ttf_bins_from_uniforms` returns their float TTFs and
+  :func:`~repro.core.base.first_to_fire_winners` selects on them.
+* **Traces** are the same timestamps expanded into ``(cycle, stage,
+  variable, label)`` events, in the order the per-cycle machine records
+  them; only the tail the trace's ring buffer keeps is built.
 
-The result is proven cycle-identical to the scalar oracle — same
-winners, same winner cycles, same total cycles, same stats dict — by
-``tests/test_uarch_events.py`` across designs, conflict policies,
-``Time_bits``, label counts and temperature schedules, plus an
-end-to-end machine-in-the-loop solve.
-
-Not handled here (the machines fall back to the scalar oracle): runs
-with a :class:`~repro.uarch.trace.PipelineTrace` attached (tracing
-wants the per-cycle walk) and ``float_time`` configs (the idealized
-IEEE-time stage is not part of the binned hardware design).
+``tests/test_uarch_events.py`` proves the result cycle-identical to the
+per-cycle reference — same winners, same winner cycles, same total
+cycles, same stats dict, same generator end state — across designs,
+conflict policies, ``Time_bits``, label counts and temperature
+schedules, plus an end-to-end machine-in-the-loop solve;
+``tests/test_uarch_trace.py`` proves the traces equal event for event.
 """
 
 from __future__ import annotations
@@ -56,7 +54,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import first_to_fire_winners
-from repro.core.convert import cached_boundary_table, cached_legacy_lut
+from repro.core.convert import (
+    boundary_codes,
+    cached_boundary_table,
+    cached_legacy_lut,
+)
 from repro.core.params import RSUConfig
 from repro.core.pipeline import legacy_temperature_stall
 from repro.core.ttf import bins_from_uniforms
@@ -159,11 +161,11 @@ def ttf_bins_from_uniforms(
     """Binned TTFs for pre-drawn uniforms; bit-identical to
     :meth:`repro.core.ttf.TTFSampler.sample` lane for lane.
 
-    The scalar machines call ``sample(np.array([[code]]))`` once per
+    The per-cycle machines call ``sample(np.array([[code]]))`` once per
     label; :func:`repro.core.ttf.bins_from_uniforms` is elementwise, so
     running it over the whole evaluation vector produces the identical
-    bins — provided ``uniforms[i]`` is the very double the scalar call
-    would have drawn (the caller's interleaving contract).
+    bins — provided ``uniforms[i]`` is the very double that call would
+    have drawn (the caller's interleaving contract).
     """
     return bins_from_uniforms(config, codes, uniforms)
 
@@ -175,9 +177,9 @@ def _interleaved_uniforms(
     labels_per_job: np.ndarray,
     tie_random: bool,
 ):
-    """One bulk draw covering every uniform the scalar machine consumes.
+    """One bulk draw covering every uniform the per-cycle machine consumes.
 
-    Per cycle the scalar machine drains completions (step 1 — a
+    Per cycle the per-cycle machine drains completions (step 1 — a
     ``random`` tie-break row of ``M`` uniforms when a variable
     completes) *before* issuing to the RET stage (step 2 — one uniform
     per evaluation).  Encoding each event as ``2 * cycle + phase``
@@ -230,7 +232,7 @@ def _select_winners(
         )
         rows = ttf_eval[gather]  # (n_group, M), indexed by label
         u_rows = None
-        if tie_policy == "random":  # the uniform rows the scalar tracker would draw
+        if tie_policy == "random":  # the rows the per-cycle selection would draw
             u_rows = sel_pool[
                 sel_starts[jobs_idx][:, None] + np.arange(labels, dtype=np.int64)
             ]
@@ -293,6 +295,31 @@ def _delivery_cycles(ret_cycles: np.ndarray, window: int) -> np.ndarray:
     return ret_cycles + (window - 1 if window > 1 else 1)
 
 
+def _record_trace(machine, stream: JobStream, stats: Dict[str, int], stages) -> None:
+    """Expand per-evaluation stage cycles into the machine's trace.
+
+    ``stages`` lists ``(stage, cycles)`` in the per-cycle machine's step
+    order within a cycle; every ``cycles`` array but the ``stall`` one
+    is indexed by evaluation.  A RET window is recorded when it opens,
+    one event per window cycle.
+    """
+    job_of_eval = np.repeat(np.arange(stream.n_jobs), stream.labels_per_job)
+    variables = np.asarray(stream.variable_ids, dtype=np.int64)[job_of_eval]
+    labels = stream.labels_per_job[job_of_eval] - 1 - _eval_index_within_job(stream)
+    schedule = []
+    for stage, cycles in stages:
+        if stage == "stall":
+            unattributed = np.full(cycles.size, -1, dtype=np.int64)
+            schedule.append((stage, cycles, 1, unattributed, unattributed))
+        else:
+            width = machine.window if stage == "ret" else 1
+            schedule.append((stage, cycles, width, variables, labels))
+    trace = machine._trace
+    trace.record_schedule(schedule)
+    stats["trace_events"] = len(trace.events)
+    stats["trace_dropped"] = trace.dropped
+
+
 # ---------------------------------------------------------------------------
 # Previous design (Fig. 2b)
 # ---------------------------------------------------------------------------
@@ -311,7 +338,7 @@ def run_legacy_machine(
     dead cycles (the update command's issue slot plus the LUT rewrite)
     ahead of its job — and every downstream event follows by fixed
     offsets.  The LUT *epoch* of each evaluation is its convert cycle
-    searched against the rewrite cycles: the scalar machine rewrites the
+    searched against the rewrite cycles: the per-cycle machine rewrites the
     LUT the moment the update pops, so the tail of the preceding job
     (already issued, not yet converted) reads the new table; the
     searchsorted reproduces that boundary exactly.
@@ -353,7 +380,7 @@ def run_legacy_machine(
         )
         stacked = np.stack(tables)
         codes_eval = stacked[epoch, stream.energies_eval]
-        machine._lut = tables[-1]  # match the scalar machine's end state
+        machine._lut = tables[-1]  # match the per-cycle machine's end state
     else:
         codes_eval = machine._lut[stream.energies_eval]
 
@@ -361,34 +388,33 @@ def run_legacy_machine(
         "hazard_stalls": 0,
         "temperature_stalls": stall * len(rewrite_cycles),
     }
-    return _finish(
+    result = _finish(
         stream, machine, codes_eval, ret_cycles, delivery_last, issue_start, stats
     )
+    if machine._trace is not None:
+        # The update command's issue slot, then ``stall`` dead cycles.
+        stall_cycles = np.asarray(rewrite_cycles, dtype=np.int64)[:, None] + np.arange(
+            1, stall + 1, dtype=np.int64
+        )
+        _record_trace(
+            machine,
+            stream,
+            result.stats,
+            [
+                ("select", delivery),
+                ("ret", ret_cycles),
+                ("convert", convert_cycles),
+                ("energy", issue_eval + 1),
+                ("stall", stall_cycles.reshape(-1)),
+                ("issue", issue_eval),
+            ],
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
 # New design (Fig. 10 / Fig. 11)
 # ---------------------------------------------------------------------------
-
-
-def _boundary_codes(
-    bounds: np.ndarray, scaled: np.ndarray, config: RSUConfig
-) -> np.ndarray:
-    """Comparison-based conversion over pre-scaled integer energies.
-
-    Same construction as
-    :func:`repro.core.convert.lambda_codes_by_boundaries`: one
-    searchsorted against ``bounds + 1e-12`` (the scalar comparators'
-    slop, bit for bit), then a gather of the halving code ladder.
-    """
-    interval = np.searchsorted(bounds + 1e-12, scaled, side="left")
-    ladder = np.concatenate(
-        [
-            config.lambda_max_code >> np.arange(bounds.size, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-        ]
-    )
-    return ladder[interval]
 
 
 def _scaled_energies(stream: JobStream) -> np.ndarray:
@@ -458,13 +484,13 @@ def _codes_by_epoch(
     """Convert each evaluation against the boundary table live at its
     convert cycle (a swap at cycle ``d`` covers converts at ``>= d``)."""
     if swap_cycles.size == 0:
-        return _boundary_codes(tables[0], scaled, config)
+        return boundary_codes(tables[0], scaled, config.lambda_max_code)
     epoch = np.searchsorted(swap_cycles, convert_cycles, side="right")
     codes = np.empty(scaled.shape, dtype=np.int64)
     for index, bounds in enumerate(tables):
         mask = epoch == index
         if np.any(mask):
-            codes[mask] = _boundary_codes(bounds, scaled[mask], config)
+            codes[mask] = boundary_codes(bounds, scaled[mask], config.lambda_max_code)
     return codes
 
 
@@ -511,7 +537,7 @@ def _count_policy_conflicts(
     of a network in a new window whose rest gap is short — with the
     QDLED counter rotating the waveguide every window the gap between
     uses of one physical network is always a multiple of ``waveguides``,
-    so the faithful computation below lands on the scalar oracle's zero.
+    so the faithful computation below lands on the per-cycle machine's zero.
     """
     active = codes_eval > 0
     n_active = int(np.count_nonzero(active))
@@ -600,9 +626,29 @@ def run_new_machine(
         )
 
     _fifo_stats(stream, pop_cycles, stats)
-    return _finish(
+    result = _finish(
         stream, machine, codes_eval, ret_cycles, delivery_last, issue_start, stats
     )
+    if machine._trace is not None:
+        issue_eval = np.arange(n, dtype=np.int64)
+        # c(i) = max(p(i) + 1, r(i-1)) holds under both policies.
+        convert_cycles = pop_cycles + 1
+        np.maximum(convert_cycles[1:], ret_cycles[:-1], out=convert_cycles[1:])
+        _record_trace(
+            machine,
+            stream,
+            result.stats,
+            [
+                ("select", _delivery_cycles(ret_cycles, window)),
+                ("ret", ret_cycles),
+                ("convert", convert_cycles),
+                ("scale", pop_cycles),
+                ("fifo", issue_eval + 2),
+                ("energy", issue_eval + 1),
+                ("issue", issue_eval),
+            ],
+        )
+    return result
 
 
 def _stall_policy_walk(
@@ -619,7 +665,8 @@ def _stall_policy_walk(
     deliveries swap the boundary registers, the evaluation converts
     against the live table, and a blocked RET issue fast-forwards to the
     next window boundary, charging the skipped cycles as conflict
-    stalls exactly as the scalar retry loop does.
+    stalls exactly as the per-cycle retry loop does (every cycle of the
+    window conflicts on the same network key).
     """
     config = machine.config
     window = machine.window
@@ -639,7 +686,7 @@ def _stall_policy_walk(
     # table per epoch replaces the per-evaluation comparator walk.
     code_lut_domain = int(scaled.max()) + 1
     domain = np.arange(code_lut_domain, dtype=np.int64)
-    code_lut = _boundary_codes(machine._bounds, domain, config)
+    code_lut = boundary_codes(machine._bounds, domain, config.lambda_max_code)
     final_bounds = machine._bounds
     shadow: Optional[float] = None
     update_cursor = 0
@@ -668,7 +715,9 @@ def _stall_policy_walk(
                 update_cursor += 1
             if shadow is not None:
                 final_bounds = cached_boundary_table(shadow, config)
-                code_lut = _boundary_codes(final_bounds, domain, config)
+                code_lut = boundary_codes(
+                    final_bounds, domain, config.lambda_max_code
+                )
                 shadow = None
         code = int(code_lut[scaled[i]])
         attempt = convert + 1
@@ -679,9 +728,10 @@ def _stall_policy_walk(
                 key = (window_index % waveguides, conc)
                 last = network_last_use.get(key)
                 if last == window_index:
-                    stats["network_conflicts"] += 1
-                    stats["conflict_stalls"] += 1
-                    attempt += 1
+                    skipped = (window_index + 1) * window - attempt
+                    stats["network_conflicts"] += skipped
+                    stats["conflict_stalls"] += skipped
+                    attempt += skipped
                     continue
                 if last is not None and window_index - last < waveguides:
                     stats["reuse_violations"] += 1

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util.errors import ConfigError
 
@@ -68,6 +70,71 @@ class PipelineTrace:
         if len(self.events) == self.max_events:
             self.dropped += 1
         self.events.append(TraceEvent(cycle, stage, variable, label))
+
+    def record_schedule(self, schedule: Sequence[tuple]) -> None:
+        """Record a whole run given as per-stage event times.
+
+        ``schedule`` lists ``(stage, cycles, width, variables, labels)``
+        in the order a machine records its stages within one cycle.
+        ``cycles`` is strictly increasing; its entry ``i`` records
+        ``width`` events, at cycles ``cycles[i]`` to ``cycles[i] + width
+        - 1``, for ``variables[i]`` and ``labels[i]``.  The ring ends in
+        the state that :meth:`record` calls in recording order would
+        leave, but only the events it keeps are built: the cut-off cycle
+        of the last ``max_events`` is found by bisection over the sorted
+        ``cycles``.
+        """
+        for stage, *_ in schedule:
+            if stage not in STAGE_LETTERS:
+                raise ConfigError(f"unknown stage {stage!r}")
+        total = sum(len(cycles) * width for _, cycles, width, _, _ in schedule)
+        keep = min(total, self.max_events)
+        self.dropped += max(0, len(self.events) + total - self.max_events)
+        if keep == 0:
+            return
+
+        def recorded_from(cycle: int) -> int:
+            return sum(
+                (len(cycles) - int(np.searchsorted(cycles, cycle))) * width
+                for _, cycles, width, _, _ in schedule
+            )
+
+        # Latest cycle from which at least ``keep`` events are recorded.
+        lo = min(int(cycles[0]) for _, cycles, *_ in schedule if len(cycles))
+        hi = max(int(cycles[-1]) for _, cycles, *_ in schedule if len(cycles))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if recorded_from(mid) >= keep:
+                lo = mid
+            else:
+                hi = mid - 1
+        columns = []  # (record cycle, step, offset, variable, label)
+        for rank, (_, cycles, width, variables, labels) in enumerate(schedule):
+            first = int(np.searchsorted(cycles, lo))
+            count = len(cycles) - first
+            columns.append(
+                (
+                    np.repeat(cycles[first:], width),
+                    np.full(count * width, rank),
+                    np.tile(np.arange(width), count),
+                    np.repeat(variables[first:], width),
+                    np.repeat(labels[first:], width),
+                )
+            )
+        record, step, offset, variable, label = (
+            np.concatenate(column) for column in zip(*columns)
+        )
+        order = np.lexsort((offset, step, record))[-keep:]
+        names = [stage for stage, *_ in schedule]
+        self.events.extend(
+            TraceEvent(cycle, names[index], var, lab)
+            for cycle, index, var, lab in zip(
+                (record[order] + offset[order]).tolist(),
+                step[order].tolist(),
+                variable[order].tolist(),
+                label[order].tolist(),
+            )
+        )
 
     def by_evaluation(self) -> Dict[Tuple[int, int], List[TraceEvent]]:
         """Events grouped per (variable, label), cycle-ordered."""

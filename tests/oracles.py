@@ -19,25 +19,36 @@ for bit live here, where only tests reach them:
   pair;
 * an all-scalar LFSR and an MT19937 with the reference word-at-a-time
   twist;
-* machines and machine-in-the-loop backends that run every batch on the
-  per-cycle scalar machine.
+* the per-cycle machines — both pipelines stepping every latch, every
+  cycle, drawing each TTF from its own ``TTFSampler.sample`` call and
+  recording traces one event at a time — and machine-in-the-loop
+  backends that run every batch on them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 
 import numpy as np
 
+from repro.core.base import select_first_to_fire
 from repro.core.cdf_sampler import CDFSampler
 from repro.core.convert import lambda_codes
 from repro.core.rsu import RSUGSampler
 from repro.core.software import GreedySampler, SoftwareSampler
+from repro.core.ttf import TTFSampler
 from repro.mrf import EnsembleResult, SolveResult, TemperingResult, coloring_masks
 from repro.mrf.tempering import swap_log_alpha
 from repro.rng import LFSR, MT19937
-from repro.uarch import CycleCountingBackend, MachineBackend, jobs_from_energies
+from repro.uarch import (
+    CycleCountingBackend,
+    LegacyMachine,
+    MachineBackend,
+    MachineResult,
+    jobs_from_energies,
+)
 
 # ---------------------------------------------------------------------------
 # Sampler draws
@@ -267,14 +278,309 @@ class ScalarMT19937(MT19937):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_run_matrix(machine, quantized, temperature_schedule=None):
-    return machine._run_scalar(jobs_from_energies(quantized), temperature_schedule)
+class _SelectionTracker:
+    """Collects per-variable TTFs and picks winners on completion."""
+
+    def __init__(self, tie_policy, rng):
+        self._tie_policy = tie_policy
+        self._rng = rng
+        self._ttfs = {}
+        self._expected = {}
+
+    def expect(self, variable_id, labels):
+        self._ttfs[variable_id] = [None] * labels
+        self._expected[variable_id] = labels
+
+    def deliver(self, variable_id, label, ttf):
+        """Record one TTF; return the winner when the variable completes.
+
+        The row keeps the TTFs' own dtype: integer bins select on
+        integer keys, float-time TTFs on float keys (cut-off ``+inf``
+        lanes lose to every live one).
+        """
+        slot = self._ttfs[variable_id]
+        slot[label] = ttf
+        self._expected[variable_id] -= 1
+        if self._expected[variable_id] == 0:
+            ttf_row = np.asarray([slot])
+            winner = select_first_to_fire(ttf_row, self._tie_policy, self._rng)[0]
+            del self._ttfs[variable_id], self._expected[variable_id]
+            return int(winner)
+        return None
+
+
+def _trace_stats(machine, stats):
+    """Traced runs surface the trace-ring window in the result."""
+    if machine._trace is not None:
+        stats["trace_events"] = len(machine._trace.events)
+        stats["trace_dropped"] = machine._trace.dropped
+
+
+def run_legacy_per_cycle(machine, jobs, temperature_schedule=None):
+    """``LegacyMachine.run`` stepping every latch, every cycle."""
+    temperature_schedule = temperature_schedule or {}
+    trace = machine._trace
+    ttf_sampler = TTFSampler(machine.config, machine._rng)
+    selection = _SelectionTracker(machine.config.tie_policy, machine._rng)
+    issue_queue = deque()
+    issue_cycle_of = {}
+    for index, job in enumerate(jobs):
+        selection.expect(job.variable_id, len(job.energies))
+        if index in temperature_schedule:
+            issue_queue.append(("stall", index))
+        for label in range(len(job.energies) - 1, -1, -1):
+            issue_queue.append((job, label))
+
+    issue_latch = None  # (var, label, quantized energy)
+    energy_latch = None  # (var, label, quantized energy)
+    lut_latch = None  # (var, label, code)
+    units_busy_until = [-1] * machine.window
+    completions = {}
+    winners = {}
+    winner_cycle = {}
+    stats = {"hazard_stalls": 0, "temperature_stalls": 0}
+    stall_remaining = 0
+    cycle = 0
+    while len(winners) < len(jobs):
+        # 1. RET completions feed selection (a window of one cycle
+        # completes in the scheduling cycle itself; its result is
+        # latched into selection on the next cycle, hence <=).
+        for due in sorted(k for k in completions if k <= cycle):
+            for variable_id, label, ttf in completions.pop(due):
+                if trace is not None:
+                    trace.record(cycle, "select", variable_id, label)
+                winner = selection.deliver(variable_id, label, ttf)
+                if winner is not None:
+                    winners[variable_id] = winner
+                    winner_cycle[variable_id] = cycle
+        # 2. LUT latch issues into a free RET unit.
+        if lut_latch is not None:
+            unit = next(
+                (u for u, busy in enumerate(units_busy_until) if busy < cycle), None
+            )
+            if unit is None:
+                stats["hazard_stalls"] += 1
+            else:
+                variable_id, label, code = lut_latch
+                units_busy_until[unit] = cycle + machine.window - 1
+                ttf = ttf_sampler.sample(np.array([[code]]))[0, 0]
+                completions.setdefault(cycle + machine.window - 1, []).append(
+                    (variable_id, label, ttf)
+                )
+                if trace is not None:
+                    for offset in range(machine.window):
+                        trace.record(cycle + offset, "ret", variable_id, label)
+                lut_latch = None
+        # 3. Energy latch advances through the LUT.
+        if lut_latch is None and energy_latch is not None:
+            variable_id, label, energy = energy_latch
+            lut_latch = (variable_id, label, int(machine._lut[energy]))
+            if trace is not None:
+                trace.record(cycle, "convert", variable_id, label)
+            energy_latch = None
+        # 4. Issue latch advances through energy computation.
+        if energy_latch is None and issue_latch is not None:
+            energy_latch = issue_latch
+            if trace is not None:
+                trace.record(cycle, "energy", issue_latch[0], issue_latch[1])
+            issue_latch = None
+        # 5. Issue stage (with temperature stalls).
+        if stall_remaining > 0:
+            stall_remaining -= 1
+            stats["temperature_stalls"] += 1
+            if trace is not None:
+                trace.record(cycle, "stall", -1, -1)
+        elif issue_latch is None and issue_queue:
+            head = issue_queue[0]
+            if head[0] == "stall":
+                issue_queue.popleft()
+                stall_remaining = machine.update_temperature(
+                    temperature_schedule[head[1]]
+                )
+            else:
+                job, label = issue_queue.popleft()
+                if label == len(job.energies) - 1:
+                    issue_cycle_of[job.variable_id] = cycle
+                issue_latch = (job.variable_id, label, int(job.energies[label]))
+                if trace is not None:
+                    trace.record(cycle, "issue", job.variable_id, label)
+        cycle += 1
+    _trace_stats(machine, stats)
+    stats["issue_cycles"] = issue_cycle_of
+    return MachineResult(winners, winner_cycle, cycle, stats)
+
+
+def comparator_code(bounds, scaled_energy, lambda_max_code):
+    """The new design's boundary comparators, one register at a time."""
+    code = lambda_max_code
+    for bound in bounds:
+        if scaled_energy <= bound + 1e-12:
+            return code
+        code //= 2
+    return 0
+
+
+def run_new_per_cycle(machine, jobs, temperature_schedule=None):
+    """``NewMachine.run`` stepping every latch, every cycle."""
+    temperature_schedule = temperature_schedule or {}
+    trace = machine._trace
+    ttf_sampler = TTFSampler(machine.config, machine._rng)
+    selection = _SelectionTracker(machine.config.tie_policy, machine._rng)
+    for job in jobs:
+        selection.expect(job.variable_id, len(job.energies))
+    window, waveguides = machine.window, machine.waveguides
+
+    # Front-end state.
+    job_index = 0
+    label_index = None  # decrementing label counter of the current job
+    issue_latch = None
+    energy_latch = None
+    min_tracker = None
+    issue_cycle_of = {}
+    # FIFO entries: (variable_id, label, quantized energy); a variable
+    # becomes poppable once its minimum is latched.
+    fifo = deque()
+    latched_min = {}
+    fifo_variables = deque()  # ids in FIFO order
+    # Back-end state.
+    scale_latch = None
+    compare_latch = None
+    completions = {}
+    network_last_use = {}
+    winners = {}
+    winner_cycle = {}
+    stats = {
+        "network_conflicts": 0,
+        "conflict_stalls": 0,
+        "fifo_max_entries": 0,
+        "fifo_max_variables": 0,
+        "reuse_violations": 0,
+        "temperature_stalls": 0,
+    }
+    cycle = 0
+    while len(winners) < len(jobs):
+        window_index = cycle // window
+        active_waveguide = window_index % waveguides
+        # 1. Completions feed selection (<= drains the window-of-one
+        # case, whose result latches the cycle after it completes).
+        for due in sorted(k for k in completions if k <= cycle):
+            for variable_id, label, ttf in completions.pop(due):
+                if trace is not None:
+                    trace.record(cycle, "select", variable_id, label)
+                winner = selection.deliver(variable_id, label, ttf)
+                if winner is not None:
+                    winners[variable_id] = winner
+                    winner_cycle[variable_id] = cycle
+                    if machine._shadow_bounds is not None:
+                        # Swap shadow boundary registers at the variable
+                        # boundary — no stall.
+                        machine._bounds = machine._shadow_bounds
+                        machine._shadow_bounds = None
+        # 2. Compare latch issues to the RET circuit.
+        if compare_latch is not None:
+            variable_id, label, code = compare_latch
+            proceed = True
+            if code > 0:
+                network = (active_waveguide, int(np.log2(code)))
+                last = network_last_use.get(network)
+                if last is not None and last == window_index:
+                    stats["network_conflicts"] += 1
+                    if machine._conflict_policy == "stall":
+                        stats["conflict_stalls"] += 1
+                        proceed = False
+                elif last is not None and window_index - last < waveguides:
+                    stats["reuse_violations"] += 1
+                if proceed:
+                    network_last_use[network] = window_index
+            if proceed:
+                ttf = ttf_sampler.sample(np.array([[code]]))[0, 0]
+                completions.setdefault(cycle + window - 1, []).append(
+                    (variable_id, label, ttf)
+                )
+                if trace is not None:
+                    for offset in range(window):
+                        trace.record(cycle + offset, "ret", variable_id, label)
+                compare_latch = None
+        # 3. Scale latch advances through the comparators.
+        if compare_latch is None and scale_latch is not None:
+            variable_id, label, scaled = scale_latch
+            code = comparator_code(
+                machine._bounds, scaled, machine.config.lambda_max_code
+            )
+            compare_latch = (variable_id, label, code)
+            if trace is not None:
+                trace.record(cycle, "convert", variable_id, label)
+            scale_latch = None
+        # 4. FIFO pop (only for a variable whose minimum is latched).
+        if scale_latch is None and fifo and fifo[0][0] in latched_min:
+            variable_id, label, energy = fifo.popleft()
+            scale_latch = (variable_id, label, energy - latched_min[variable_id])
+            if trace is not None:
+                trace.record(cycle, "scale", variable_id, label)
+            if not fifo or fifo[0][0] != variable_id:
+                if fifo_variables and fifo_variables[0] == variable_id:
+                    fifo_variables.popleft()
+        # 5. Energy latch inserts into the FIFO and updates the min.
+        if energy_latch is not None:
+            variable_id, label, energy = energy_latch
+            fifo.append((variable_id, label, energy))
+            if trace is not None:
+                trace.record(cycle, "fifo", variable_id, label)
+            if not fifo_variables or fifo_variables[-1] != variable_id:
+                fifo_variables.append(variable_id)
+            min_tracker = energy if min_tracker is None else min(min_tracker, energy)
+            if label == 0:  # last label of the variable: latch the min
+                latched_min[variable_id] = min_tracker
+                min_tracker = None
+            energy_latch = None
+        stats["fifo_max_entries"] = max(stats["fifo_max_entries"], len(fifo))
+        stats["fifo_max_variables"] = max(
+            stats["fifo_max_variables"], len(fifo_variables)
+        )
+        # 6. Issue latch computes the energy.
+        if energy_latch is None and issue_latch is not None:
+            energy_latch = issue_latch
+            if trace is not None:
+                trace.record(cycle, "energy", issue_latch[0], issue_latch[1])
+            issue_latch = None
+        # 7. Issue stage: label decrement over the current job.
+        if issue_latch is None and job_index < len(jobs):
+            job = jobs[job_index]
+            if label_index is None:
+                if job_index in temperature_schedule:
+                    machine.update_temperature(temperature_schedule[job_index])
+                label_index = len(job.energies) - 1
+                issue_cycle_of[job.variable_id] = cycle
+            issue_latch = (job.variable_id, label_index, int(job.energies[label_index]))
+            if trace is not None:
+                trace.record(cycle, "issue", job.variable_id, label_index)
+            if label_index == 0:
+                job_index += 1
+                label_index = None
+            else:
+                label_index -= 1
+        cycle += 1
+    _trace_stats(machine, stats)
+    stats["issue_cycles"] = issue_cycle_of
+    return MachineResult(winners, winner_cycle, cycle, stats)
+
+
+def run_per_cycle(machine, jobs, temperature_schedule=None):
+    """Run ``jobs`` on ``machine``'s per-cycle reference loop."""
+    if isinstance(machine, LegacyMachine):
+        return run_legacy_per_cycle(machine, jobs, temperature_schedule)
+    return run_new_per_cycle(machine, jobs, temperature_schedule)
+
+
+def run_matrix_per_cycle(machine, quantized, temperature_schedule=None):
+    """``run_matrix`` on the per-cycle reference loop."""
+    return run_per_cycle(machine, jobs_from_energies(quantized), temperature_schedule)
 
 
 def scalar_machine(machine):
     """Route ``machine.run``/``run_matrix`` through its per-cycle loop."""
-    machine.run = machine._run_scalar
-    machine.run_matrix = functools.partial(_scalar_run_matrix, machine)
+    machine.run = functools.partial(run_per_cycle, machine)
+    machine.run_matrix = functools.partial(run_matrix_per_cycle, machine)
     return machine
 
 

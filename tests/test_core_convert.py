@@ -11,8 +11,10 @@ from repro.core import (
     lambda_codes,
     lambda_codes_by_boundaries,
     lambda_codes_lut,
+    legacy_design_config,
     legacy_lut,
     new_design_config,
+    stacked_conversion_lut,
 )
 from repro.util import ConfigError
 
@@ -129,6 +131,17 @@ class TestMemoizedLutFastPath:
         )
         assert np.array_equal(direct, lut)
         assert np.array_equal(direct, boundaries)
+
+    def test_table_codes_lie_in_code_range(self):
+        """The sweep kernel's TTF stage takes its codes straight from
+        these tables without a range check of its own."""
+        temperatures = (0.01, 0.7, 5.0, 40.0, 1e6)
+        for config in self.DESIGN_GRID + [legacy_design_config()]:
+            tables = [conversion_lut(t, config) for t in temperatures]
+            tables.append(stacked_conversion_lut(temperatures, config))
+            for table in tables:
+                assert table.min() >= 0, config
+                assert table.max() <= config.lambda_max_code, config
 
     def test_table_is_memoized_and_readonly(self):
         first = conversion_lut(12.5, NEW)

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core import lambda_codes, legacy_design_config, new_design_config
+from repro.core.convert import boundary_codes
 from repro.core.pipeline import (
     legacy_temperature_stall,
     legacy_variable_latency,
     new_variable_latency,
 )
-from repro.uarch import LegacyMachine, MachineResult, NewMachine, jobs_from_energies
+from repro.uarch import (
+    LegacyMachine,
+    MachineResult,
+    NewMachine,
+    events,
+    jobs_from_energies,
+)
 from repro.util import ConfigError
 
 LEGACY = legacy_design_config()
@@ -87,7 +94,9 @@ class TestLegacyMachine:
             machine.run([])
 
     @pytest.mark.parametrize("tie", ["first", "last", "random"])
-    def test_float_time_run_selects_the_earlier_time_within_a_bin(self, tie):
+    def test_float_time_run_selects_the_earlier_time_within_a_bin(
+        self, tie, monkeypatch
+    ):
         # Both labels fire inside the unit bin [2, 3): the float-time
         # machine must select the earlier time, not floor both to a tie
         # that the policy then decides.
@@ -96,11 +105,10 @@ class TestLegacyMachine:
         early, late = int(machine._lut[0]), int(machine._lut[30])
         assert early > late > 0
 
-        class TwoTimes:
-            def sample(self, codes):
-                return np.where(codes == early, 2.25, 2.75)
+        def two_times(config, codes, uniforms):
+            return np.where(codes == early, 2.25, 2.75)
 
-        machine._ttf_sampler = TwoTimes()
+        monkeypatch.setattr(events, "ttf_bins_from_uniforms", two_times)
         energies = np.array([[0, 30], [30, 0]] * 8)
         result = machine.run_matrix(energies)
         assert [result.winners[v] for v in range(len(energies))] == [0, 1] * 8
@@ -195,7 +203,7 @@ class TestNewMachine:
         machine = NewMachine(config, 4.0, np.random.default_rng(11))
         result = machine.run_matrix(energies)
         scaled = energies - energies.min(axis=1, keepdims=True)
-        live = np.vectorize(machine._convert)(scaled) > 0
+        live = boundary_codes(machine._bounds, scaled, config.lambda_max_code) > 0
         winners = np.array([result.winners[v] for v in range(len(energies))])
         assert np.all(live[np.arange(len(energies)), winners])
         assert np.any(live.sum(axis=1) < live.shape[1])  # cut-off labels exist

@@ -1,12 +1,24 @@
 """Tests for pipeline tracing and rendering."""
 
+import hashlib
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.uarch.trace as trace_module
 from repro.core import legacy_design_config, new_design_config
-from repro.uarch import LegacyMachine, NewMachine, jobs_from_energies
+from repro.uarch import LegacyMachine, NewMachine, VariableJob, jobs_from_energies
 from repro.uarch.trace import STAGE_LETTERS, PipelineTrace
 from repro.util import ConfigError
+from tests.oracles import run_per_cycle
+
+#: SHA-256 of ``examples/uarch_trace.py``'s stdout, recorded when the
+#: traces came from the per-cycle machines.
+EXAMPLE_STDOUT_SHA256 = (
+    "2a9b7a4b0a9907803c8c50d634c7edc0e01e6f97b3b0dcf6c70d1bfe203e0725"
+)
 
 
 def traced_new_run(n_vars=2, labels=4, seed=0):
@@ -143,3 +155,134 @@ class TestWindowedTrace:
         result = machine.run(jobs)
         assert "trace_events" not in result.stats
         assert "trace_dropped" not in result.stats
+
+
+def test_example_stdout_unchanged(capsys):
+    example = Path(__file__).resolve().parents[1] / "examples" / "uarch_trace.py"
+    runpy.run_path(str(example), run_name="__main__")
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == EXAMPLE_STDOUT_SHA256
+
+
+def make_machine(design, rng, trace=None, time_bits=5, tie="random", float_time=False):
+    if design == "legacy":
+        config = legacy_design_config(
+            time_bits=time_bits, tie_policy=tie, float_time=float_time
+        )
+        return LegacyMachine(config, 40.0, rng, trace=trace)
+    config = new_design_config(time_bits=time_bits, tie_policy=tie, float_time=float_time)
+    return NewMachine(config, 40.0, rng, conflict_policy=design, trace=trace)
+
+
+def event_tuples(trace):
+    return [(e.cycle, e.stage, e.variable, e.label) for e in trace.events]
+
+
+def traced_pair(design, jobs, runs=({},), max_events=100_000, **config):
+    """Event-engine and per-cycle runs of ``jobs``, each into one trace."""
+    outcomes = []
+    for engine in ("event", "per-cycle"):
+        rng = np.random.default_rng(23)
+        trace = PipelineTrace(max_events=max_events)
+        machine = make_machine(design, rng, trace, **config)
+        results = [
+            machine.run(jobs, schedule)
+            if engine == "event"
+            else run_per_cycle(machine, jobs, schedule)
+            for schedule in runs
+        ]
+        outcomes.append((results, trace, rng))
+    return outcomes
+
+
+def assert_same_results(result, reference):
+    assert result.winners == reference.winners
+    assert result.winner_cycle == reference.winner_cycle
+    assert result.total_cycles == reference.total_cycles
+    assert result.stats == reference.stats
+
+
+DESIGNS = ["legacy", "count", "stall"]
+
+
+class TestTracedEventEngineMatchesPerCycle:
+    """The event engine's traces equal the per-cycle machine's, event
+    for event, ring window and drop count included."""
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("time_bits", [3, 5, 8])
+    @pytest.mark.parametrize("tie", ["first", "last", "random"])
+    @pytest.mark.parametrize("with_updates", [False, True])
+    @pytest.mark.parametrize("max_events", [5, 64, 100_000])
+    @pytest.mark.parametrize("float_time", [False, True])
+    def test_matrix(self, design, time_bits, tie, with_updates, max_events, float_time):
+        jobs = jobs_from_energies(np.random.default_rng(31).integers(0, 256, (8, 6)))
+        schedule = {0: 20.0, 3: 60.0, 6: 30.0} if with_updates else {}
+        (event, event_trace, event_rng), (oracle, oracle_trace, oracle_rng) = (
+            traced_pair(
+                design,
+                jobs,
+                (schedule,),
+                max_events,
+                time_bits=time_bits,
+                tie=tie,
+                float_time=float_time,
+            )
+        )
+        assert_same_results(event[0], oracle[0])
+        assert event_tuples(event_trace) == event_tuples(oracle_trace)
+        assert event_trace.dropped == oracle_trace.dropped
+        assert event_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_matrix_exercises_conflict_stalls(self):
+        jobs = jobs_from_energies(np.random.default_rng(31).integers(0, 256, (8, 6)))
+        (event, _, _), _ = traced_pair("stall", jobs)
+        assert event[0].stats["conflict_stalls"] > 0
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("max_events", [40, 100_000])
+    def test_two_runs_into_one_trace(self, design, max_events):
+        rng = np.random.default_rng(4)
+        jobs = [VariableJob(i, rng.integers(0, 256, m)) for i, m in enumerate([3, 1, 7, 2])]
+        (event, event_trace, _), (oracle, oracle_trace, _) = traced_pair(
+            design, jobs, ({1: 25.0}, {2: 50.0}), max_events
+        )
+        for result, reference in zip(event, oracle):
+            assert_same_results(result, reference)
+        assert event_tuples(event_trace) == event_tuples(oracle_trace)
+        assert event_trace.dropped == oracle_trace.dropped
+
+
+class TestTracingChangesNothingElse:
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("float_time", [False, True])
+    def test_traced_result_equals_untraced(self, design, float_time):
+        quantized = np.random.default_rng(8).integers(0, 256, (10, 5))
+        outcomes = []
+        for trace in (None, PipelineTrace(max_events=16)):
+            rng = np.random.default_rng(2)
+            machine = make_machine(design, rng, trace, float_time=float_time)
+            result = machine.run_matrix(quantized, {4: 15.0})
+            outcomes.append((result, rng.bit_generator.state))
+        (untraced, untraced_rng), (traced, traced_rng) = outcomes
+        assert traced.stats.pop("trace_events") == 16
+        assert traced.stats.pop("trace_dropped") > 0
+        assert_same_results(traced, untraced)
+        assert traced_rng == untraced_rng
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_long_run_builds_only_the_kept_events(self, design, monkeypatch):
+        built = []
+
+        class CountingEvent(trace_module.TraceEvent):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(trace_module, "TraceEvent", CountingEvent)
+        trace = PipelineTrace(max_events=64)
+        machine = make_machine(design, np.random.default_rng(0), trace)
+        machine.run_matrix(np.random.default_rng(1).integers(0, 256, (200, 6)))
+        assert len(trace.events) == 64
+        assert trace.dropped > 200 * 6
+        assert 0 < len(built) <= 64
