@@ -11,6 +11,10 @@ Public surface:
   :class:`CDFSampler` (pure-CMOS pseudo-RNG unit).
 * Stage models — :class:`EnergyStage`, :func:`lambda_codes`,
   :class:`TTFSampler` — for design-space analysis (Figs. 5, 7, 8).
+  The λ-conversion is one memoized table (:func:`conversion_lut`, or
+  :func:`stacked_conversion_lut` for a ladder of temperatures) read
+  through one gather (:func:`lambda_codes_lut_into`); the new design's
+  boundary registers are :func:`boundary_table`.
 * Cycle-level pipeline timing in :mod:`repro.core.pipeline` and the
   entropy model in :mod:`repro.core.entropy`.
 """
@@ -33,11 +37,7 @@ from repro.core.convert import (
     conversion_lut,
     conversion_memory_bits,
     lambda_codes,
-    lambda_codes_by_boundaries,
-    lambda_codes_lut,
     lambda_codes_lut_into,
-    lambda_codes_lut_stacked_into,
-    legacy_lut,
     stacked_conversion_lut,
 )
 from repro.core.distance import (
@@ -96,15 +96,11 @@ __all__ = [
     "select_first_to_fire_chains_into",
     "CDFSampler",
     "lambda_codes_lut_into",
-    "lambda_codes_lut_stacked_into",
     "stacked_conversion_lut",
     "boundary_table",
     "conversion_lut",
     "conversion_memory_bits",
     "lambda_codes",
-    "lambda_codes_by_boundaries",
-    "lambda_codes_lut",
-    "legacy_lut",
     "DISTANCE_KINDS",
     "get_distance",
     "label_distance_matrix",

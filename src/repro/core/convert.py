@@ -10,18 +10,20 @@ code space, with the three techniques the new design introduces:
 * **2^n approximation** — codes are truncated to the nearest power of
   two so the RET circuit needs only ``Lambda_bits`` unique rates.
 
-Two hardware realizations are modeled: the LUT indexed by energy (the
-previous design) and the comparison-against-boundaries scheme of
-Sec. IV-B.3.  Both must produce identical codes; tests assert this.
+Every software consumer converts through one table: quantized energies
+take at most ``2**Energy_bits`` distinct values, so the whole
+per-(temperature, config) conversion is the memoized integer table
+:func:`conversion_lut`, built by :func:`lambda_codes` itself (a few
+hundred ``exp`` calls instead of one per (site, label)).  The sweep
+kernel and MH read it through one gather, :func:`lambda_codes_lut_into`;
+the previous-design machine and the driver's LUT stream load it as the
+previous design's energy-indexed LUT, which it is entry for entry.
 
-A third, software-side fast path mirrors the LUT observation: quantized
-energies take at most ``2**Energy_bits`` distinct values, so the whole
-per-(temperature, config) conversion collapses to one integer table
-(:func:`conversion_lut`) built with a few hundred ``exp`` calls instead
-of one per (site, label).  :func:`lambda_codes_lut` performs the gather;
-it is bit-identical to :func:`lambda_codes` by construction (the table
-entries are computed by the very same formula) and is the only
-conversion path of :class:`repro.core.rsu.RSUGSampler`.
+The new design's comparison-against-boundaries scheme (Sec. IV-B.3) is
+modeled only where the hardware has those registers — the new-design
+machine, the device and the driver: :func:`boundary_table` holds the
+register contents and :func:`boundary_codes` the comparison.  The tests
+check that it gives the table's codes.
 """
 
 from __future__ import annotations
@@ -96,9 +98,11 @@ def conversion_lut(temperature: float, config: RSUConfig) -> np.ndarray:
     """Memoized ``2**Energy_bits``-entry table: quantized energy -> code.
 
     Entry ``e`` is exactly ``lambda_codes([[e]], temperature, config)``
-    without the scaling shift (which :func:`lambda_codes_lut` applies to
-    the lookup index instead, Eq. 4 being a pure index translation on
-    the integer energy grid).  The returned array is read-only and
+    without the scaling shift (which :func:`lambda_codes_lut_into`
+    applies to the lookup index instead, Eq. 4 being a pure index
+    translation on the integer energy grid; on one row of ``arange`` the
+    shift is zero, so the table is also the scaled conversion of each
+    energy).  The returned array is read-only and
     shared across calls; one annealing schedule touches one table per
     distinct temperature instead of ``exp``-ing every (site, label).
     """
@@ -115,30 +119,6 @@ def conversion_lut(temperature: float, config: RSUConfig) -> np.ndarray:
     return table
 
 
-def lambda_codes_lut(
-    quantized_energy: np.ndarray, temperature: float, config: RSUConfig
-) -> np.ndarray:
-    """Table-lookup conversion; bit-identical to :func:`lambda_codes`.
-
-    ``quantized_energy`` must hold integers on the ``Energy_bits`` grid
-    (the contract of :meth:`repro.core.energy.EnergyStage.quantize`).
-    """
-    energy = np.asarray(quantized_energy)
-    if energy.ndim != 2:
-        raise ConfigError(f"quantized_energy must be 2-D, got shape {energy.shape}")
-    table = conversion_lut(temperature, config)
-    index = energy.astype(np.int64, copy=False)
-    if not np.issubdtype(energy.dtype, np.integer) and not np.array_equal(index, energy):
-        raise ConfigError("lambda_codes_lut requires integer quantized energies")
-    if config.scaling:
-        index = index - index.min(axis=1, keepdims=True)
-    if index.size and (index.min() < 0 or index.max() >= table.size):
-        raise ConfigError(
-            f"quantized energies out of the {config.energy_bits}-bit grid"
-        )
-    return table[index]
-
-
 def lambda_codes_lut_into(
     quantized_energy: np.ndarray,
     table: np.ndarray,
@@ -146,31 +126,46 @@ def lambda_codes_lut_into(
     out: np.ndarray,
     row_min: np.ndarray,
 ) -> np.ndarray:
-    """Fused :func:`lambda_codes_lut`: gather through preallocated buffers.
+    """The energy-to-code gather, over a ``(K, n_sites, n_labels)`` block.
 
-    ``table`` is the :func:`conversion_lut` for the target temperature
-    (hoisted by the caller so one sweep fetches it once, not once per
-    colour class); ``row_min`` is an int64 ``(n_sites, 1)`` buffer for
-    the decay-rate-scaling row minima.  **Mutates** ``quantized_energy``
-    in place when ``config.scaling`` (the scaled index replaces the raw
-    one — callers on the fused path own that buffer and are done with
-    it).  Bit-identical to :func:`lambda_codes_lut` by construction:
-    scaling is the same integer index shift, the gather reads the same
-    table.
+    ``table`` is either the :func:`conversion_lut` every chain shares (a
+    single solve, multi-seed ensembles) or the
+    :func:`stacked_conversion_lut` of the K chains' temperatures
+    (parallel tempering's ladder), in which chain ``k`` reads the
+    stride-``2**Energy_bits`` slice starting at ``k * 2**Energy_bits``.
+    ``row_min`` is an int64 ``(K * n_sites, 1)`` buffer for the
+    decay-rate-scaling row minima.  **Mutates** ``quantized_energy``
+    (scaling shift and chain offsets) — callers own that buffer and are
+    done with it.
 
-    Unlike :func:`lambda_codes_lut` there is no explicit range scan:
-    the caller guarantees energies on the ``Energy_bits`` grid (the
-    :meth:`~repro.core.energy.EnergyStage.quantize_into` contract), and
-    the gather's own bounds checking still raises on any index at or
-    beyond the table size.
+    Entry for entry the result is :func:`lambda_codes` of the same
+    energies: scaling is an integer index shift within each row (chains
+    never mix), and chain ``k``'s index ``e`` reads the entry its own
+    table holds.  Under scaling a stacked table folds the chain offsets
+    into the row minima, so a ladder pays no extra full-block pass.
+    There is no range scan: callers guarantee energies on the
+    ``Energy_bits`` grid (the
+    :meth:`~repro.core.energy.EnergyStage.quantize_into` contract).  The gather's own bounds check still raises past the end
+    of the table, though an out-of-grid index in any chain but the last
+    of a stacked table would alias into the next chain's slice.
     """
-    index = quantized_energy
+    chains, sites, labels = quantized_energy.shape
+    index = quantized_energy.reshape(chains * sites, labels)
+    grid = unsigned_max(config.energy_bits) + 1
+    offsets = None
+    if table.size != grid:
+        offsets = np.arange(0, table.size, grid, dtype=np.int64)[:, None, None]
     if config.scaling:
         np.amin(index, axis=1, keepdims=True, out=row_min)
+        if offsets is not None:
+            chain_min = row_min.reshape(chains, sites, 1)
+            np.subtract(chain_min, offsets, out=chain_min)
         np.subtract(index, row_min, out=index)
+    elif offsets is not None:
+        np.add(quantized_energy, offsets, out=quantized_energy)
     # Fancy gather + copy beats np.take(..., out=out) here: the mapiter
     # fast path more than pays for the transient gather result.
-    np.copyto(out, table[index])
+    np.copyto(out.reshape(index.shape), table[index])
     return out
 
 
@@ -189,9 +184,9 @@ def stacked_conversion_lut(temperatures, config: RSUConfig) -> np.ndarray:
     For K chains at (grid) temperatures ``temperatures`` the result is a
     read-only ``(K * 2**Energy_bits,)`` array whose slice
     ``[k*S:(k+1)*S]`` is exactly ``conversion_lut(temperatures[k],
-    config)`` — so one gather with per-chain index offsets converts a
-    whole ``(K, sites, labels)`` block (parallel tempering's ladder of
-    replica temperatures) in a single NumPy call.
+    config)`` — so :func:`lambda_codes_lut_into` converts a whole
+    ``(K, sites, labels)`` block at K distinct temperatures in a single
+    gather.
     """
     temps = tuple(float(t) for t in temperatures)
     if not temps:
@@ -201,47 +196,8 @@ def stacked_conversion_lut(temperatures, config: RSUConfig) -> np.ndarray:
     return _stacked_conversion_lut(temps, config)
 
 
-def lambda_codes_lut_stacked_into(
-    quantized_energy: np.ndarray,
-    table: np.ndarray,
-    config: RSUConfig,
-    out: np.ndarray,
-    row_min: np.ndarray,
-) -> np.ndarray:
-    """Chain-batched :func:`lambda_codes_lut_into` over a stacked table.
-
-    ``quantized_energy`` and ``out`` are ``(K, n_sites, n_labels)``;
-    ``table`` is the :func:`stacked_conversion_lut` for the K chain
-    temperatures (chain ``k`` owns the stride-``S`` slice starting at
-    ``k * S``); ``row_min`` is an int64 ``(K * n_sites, 1)`` buffer.
-    **Mutates** ``quantized_energy`` (scaling shift + chain offsets) —
-    fused callers own that buffer and are done with it.
-
-    Byte-identical to K per-chain :func:`lambda_codes_lut_into` calls:
-    the scaling row-minimum is taken within each row (chains never mix),
-    and index ``e`` of chain ``k`` reads ``table[k * S + e]`` — the same
-    entry the chain's own table holds.  As with the fused single-table
-    path the caller guarantees energies on the ``Energy_bits`` grid; an
-    out-of-grid index in any chain but the last would alias into the
-    next chain's slice rather than raise, which the
-    :meth:`~repro.core.energy.EnergyStage.quantize_into` contract rules
-    out.
-    """
-    chains = quantized_energy.shape[0]
-    stride = table.size // chains
-    index = quantized_energy
-    flat = index.reshape(chains * index.shape[1], index.shape[2])
-    if config.scaling:
-        np.amin(flat, axis=1, keepdims=True, out=row_min)
-        np.subtract(flat, row_min, out=flat)
-    offsets = np.arange(chains, dtype=np.int64) * np.int64(stride)
-    np.add(index, offsets[:, None, None], out=index)
-    np.copyto(out.reshape(flat.shape), table[flat])
-    return out
-
-
 def boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:
-    """Energy boundaries for the comparison-based conversion.
+    """Energy boundaries for the comparison-based conversion (memoized).
 
     For the 2^n code set ``{lambda_max, ..., 2, 1, 0}`` the converter of
     Sec. IV-B.3 stores one energy boundary per interval: a (scaled)
@@ -250,7 +206,11 @@ def boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:
     replace the 1K-bit LUT.
 
     Returns boundaries ordered from the largest code to code 1; an
-    energy above the last boundary is cut off (code 0).
+    energy above the last boundary is cut off (code 0).  The array is
+    read-only and shared: the machines reload their registers whenever
+    one is built or a temperature update streams in, and an annealing
+    schedule revisits the same few grid temperatures, so each
+    (temperature, config) table is built once per process.
     """
     if not (config.scaling and config.cutoff and config.pow2_lambda):
         raise ConfigError(
@@ -259,6 +219,11 @@ def boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:
         )
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
+    return _boundary_table(float(temperature), config)
+
+
+@lru_cache(maxsize=4096)
+def _boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:
     scale = float(config.lambda_max_code)
     bounds: List[float] = []
     code = config.lambda_max_code
@@ -269,7 +234,9 @@ def boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:
         lower_edge = _pow2_round_lower_edge(code)
         bounds.append(temperature * math.log(scale / lower_edge))
         code //= 2
-    return np.asarray(bounds, dtype=np.float64)
+    table = np.asarray(bounds, dtype=np.float64)
+    table.setflags(write=False)
+    return table
 
 
 def _pow2_round_lower_edge(code: int) -> int:
@@ -280,37 +247,6 @@ def _pow2_round_lower_edge(code: int) -> int:
     is ``floor(3*code/4) + 1``.
     """
     return (3 * code) // 4 + 1
-
-
-@lru_cache(maxsize=4096)
-def _cached_boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:
-    table = boundary_table(temperature, config)
-    table.setflags(write=False)
-    return table
-
-
-def cached_boundary_table(temperature: float, config: RSUConfig) -> np.ndarray:
-    """Memoized, read-only :func:`boundary_table`.
-
-    The structural machines rebuild their comparison registers whenever
-    a machine is constructed or a temperature update streams in; an
-    annealing schedule revisits the same handful of grid temperatures,
-    so the table for a (temperature, config) pair is built exactly once
-    per process and shared by every machine thereafter.
-    """
-    return _cached_boundary_table(float(temperature), config)
-
-
-@lru_cache(maxsize=4096)
-def _cached_legacy_lut(temperature: float, config: RSUConfig) -> np.ndarray:
-    table = legacy_lut(temperature, config)
-    table.setflags(write=False)
-    return table
-
-
-def cached_legacy_lut(temperature: float, config: RSUConfig) -> np.ndarray:
-    """Memoized, read-only :func:`legacy_lut` (see :func:`cached_boundary_table`)."""
-    return _cached_legacy_lut(float(temperature), config)
 
 
 def boundary_codes(
@@ -332,30 +268,6 @@ def boundary_codes(
         ]
     )
     return code_of_interval[interval]
-
-
-def lambda_codes_by_boundaries(
-    quantized_energy: np.ndarray, temperature: float, config: RSUConfig
-) -> np.ndarray:
-    """Comparison-based conversion (new design): must match :func:`lambda_codes`."""
-    energy = np.asarray(quantized_energy, dtype=np.float64)
-    if energy.ndim != 2:
-        raise ConfigError(f"quantized_energy must be 2-D, got shape {energy.shape}")
-    scaled = energy - energy.min(axis=1, keepdims=True)
-    bounds = boundary_table(temperature, config)
-    return boundary_codes(bounds, scaled, config.lambda_max_code)
-
-
-def legacy_lut(temperature: float, config: RSUConfig) -> np.ndarray:
-    """Full energy-indexed LUT of the previous design.
-
-    One entry per quantized energy value (``2**Energy_bits`` entries of
-    ``Lambda_bits`` each — the 1024-bit memory of Sec. IV-B.3).  Only
-    meaningful for unscaled conversion, where the LUT index is the raw
-    quantized energy.
-    """
-    energies = np.arange(unsigned_max(config.energy_bits) + 1, dtype=np.float64)
-    return lambda_codes(energies[None, :], temperature, config)[0]
 
 
 def conversion_memory_bits(config: RSUConfig, scheme: str) -> int:

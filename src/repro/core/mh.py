@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import SamplerBackend, select_first_to_fire
-from repro.core.convert import lambda_codes
+from repro.core.convert import conversion_lut, lambda_codes_lut_into
 from repro.core.energy import EnergyStage
 from repro.core.params import RSUConfig
 from repro.core.ttf import TTFSampler
@@ -120,13 +120,16 @@ class RSUMHSampler(SoftwareMHSampler):
         rows = np.arange(n)
         quantized = self.energy_stage.quantize(energies)
         t_grid = self.energy_stage.quantized_temperature(temperature)
+        table = conversion_lut(t_grid, self.config)
+        codes = np.empty((1, n, 2), dtype=np.int64)
+        row_min = np.empty((n, 1), dtype=np.int64)
         for _ in range(self.steps_per_update):
             proposal = self._rng.integers(0, m, size=n)
             pair = np.stack(
                 [quantized[rows, current], quantized[rows, proposal]], axis=1
             )
-            codes = lambda_codes(pair, t_grid, self.config)
-            ttf = self._ttf.sample(codes)
+            lambda_codes_lut_into(pair[None], table, self.config, codes, row_min)
+            ttf = self._ttf.sample(codes[0])
             winners = select_first_to_fire(ttf, self.config.tie_policy, self._rng)
             current = np.where(winners == 1, proposal, current)
         return current

@@ -8,12 +8,11 @@ draw a binned exponential TTF (``Time_bits``, ``Truncation``) per
 label, and select the first label to fire.
 
 Every draw — the sweep engine's and :meth:`~SamplerBackend.sample`'s
-K=1 case — goes through the fused :meth:`RSUGSampler.sample_chains_into`,
-which chains quantize -> LUT gather -> TTF -> first-to-fire through
-reusable workspace buffers.  The allocating
-:meth:`RSUGSampler._sample_batch` remains for a replaced TTF stage
-(noise injection, SPAD faults), whose own ``sample`` it calls; it
-consumes every RNG stream exactly as the fused path does.
+K=1 case — goes through :meth:`RSUGSampler.sample_chains_into`, which
+chains quantize -> LUT gather -> TTF -> first-to-fire through reusable
+workspace buffers.  A replaced TTF stage (noise injection, SPAD faults)
+runs in the same pipeline; only its TTF step is the stage's own
+``sample``, chain by chain.
 """
 
 from __future__ import annotations
@@ -26,14 +25,11 @@ from repro.core.base import (
     SamplerBackend,
     SampleScratch,
     record_sampler_batch,
-    select_first_to_fire,
     select_first_to_fire_chains_into,
 )
 from repro.core.convert import (
     conversion_lut,
-    lambda_codes_lut,
     lambda_codes_lut_into,
-    lambda_codes_lut_stacked_into,
     stacked_conversion_lut,
 )
 from repro.core.energy import EnergyStage
@@ -80,10 +76,6 @@ class RSUGSampler(SamplerBackend):
         self.energy_stage = EnergyStage(config.energy_bits, energy_full_scale)
         self._ttf = ttf_sampler if ttf_sampler is not None else TTFSampler(config, rng)
         self._rng = rng
-        # The fused path may only shortcut the TTF stage when the ideal
-        # sampler semantics apply; a replacement stage (noise injection,
-        # fault models) overriding ``sample`` must keep its own path.
-        self._ttf_fusable = type(self._ttf).sample is TTFSampler.sample
         # Per-temperature stage constants, hoisted out of the
         # per-colour-class loop: one annealing step touches the quantized
         # temperature and conversion table twice (once per checkerboard
@@ -113,17 +105,6 @@ class RSUGSampler(SamplerBackend):
         self._stage_cache = (temperature, t_grid, table)
         return t_grid, table
 
-    def codes_for(self, energies: np.ndarray, temperature: float) -> np.ndarray:
-        """Decay-rate codes the unit would use (exposed for analysis)."""
-        quantized = self.energy_stage.quantize(energies)
-        t_grid = self.energy_stage.quantized_temperature(temperature)
-        return lambda_codes_lut(quantized, t_grid, self.config)
-
-    def _sample_batch(self, energies: np.ndarray, temperature: float) -> np.ndarray:
-        codes = self.codes_for(energies, temperature)
-        ttf = self._ttf.sample(codes)
-        return select_first_to_fire(ttf, self.config.tie_policy, self._rng)
-
     def _ttf_dtype(self, n_labels: int):
         """Output dtype of the fused TTF stage.
 
@@ -150,48 +131,44 @@ class RSUGSampler(SamplerBackend):
 
         quantize -> λ-LUT gather -> TTF -> first-to-fire, each stage run
         once over the stacked block with one RNG stream per chain.  The
-        energy quantization is elementwise; the LUT gather uses the
-        shared table when every chain sits at one grid temperature
-        (ensembles) and a :func:`stacked_conversion_lut` with per-chain
-        index offsets when the ladder differs (tempering); the TTF and
-        selection stages fill per-chain entropy slabs and batch the
-        rest.  Byte-identical to K sequential :meth:`_sample_batch`
-        calls, including RNG consumption.
+        energy quantization is elementwise; the gather reads the shared
+        table when every chain sits at one grid temperature (ensembles)
+        and a :func:`stacked_conversion_lut` when the ladder differs
+        (tempering); the ideal TTF and the selection stages fill
+        per-chain entropy slabs and batch the rest.  A replaced TTF
+        stage (noise injection, SPAD faults, any ``sample`` override)
+        draws chain by chain through its own ``sample``.  Each chain
+        gets the labels, and leaves its RNG streams where, the
+        allocating quantize -> :func:`~repro.core.convert.lambda_codes`
+        -> ``sample`` -> :func:`~repro.core.base.select_first_to_fire`
+        stages would.
 
-        Chains whose design points differ — different config or energy
-        stage — run one at a time; a chain with a replaced TTF stage
-        (noise injection, SPAD faults) runs :meth:`_sample_batch`, the
-        only path that calls that stage's own ``sample``.  A single
-        chain (one solve) skips the comparison.
+        Chains whose design points differ — different config, energy
+        stage or TTF stage — run one at a time.  A single chain (one
+        solve) skips the comparison.
         """
         if energies.ndim != 3 or energies.shape[2] < 1 or energies.shape[1] < 1:
             raise DataError(
                 f"energies must be (chains, n_sites, n_labels), got shape {energies.shape}"
             )
         first = samplers[0]
-        compatible = first._ttf_fusable and all(
-            sampler._ttf_fusable
-            and sampler.config == first.config
+        ttf_type = type(first._ttf)
+        compatible = all(
+            sampler.config == first.config
             and sampler.energy_stage == first.energy_stage
+            and type(sampler._ttf) is ttf_type
             and sampler._ttf.config == first._ttf.config
             for sampler in samplers[1:]
         )
         if not compatible:
             for index, sampler in enumerate(samplers):
-                if sampler._ttf_fusable:
-                    cls.sample_chains_into(
-                        [sampler],
-                        energies[index : index + 1],
-                        temperatures[index : index + 1],
-                        out[index : index + 1],
-                        scratch,
-                    )
-                else:
-                    check_positive("temperature", temperatures[index])
-                    record_sampler_batch(energies.shape[1])
-                    out[index] = sampler._sample_batch(
-                        energies[index], float(temperatures[index])
-                    )
+                cls.sample_chains_into(
+                    [sampler],
+                    energies[index : index + 1],
+                    temperatures[index : index + 1],
+                    out[index : index + 1],
+                    scratch,
+                )
             return out
         for temperature in temperatures:
             check_positive("temperature", temperature)
@@ -208,28 +185,19 @@ class RSUGSampler(SamplerBackend):
         codes = scratch.buf("rsu_codes", shape, np.int64)
         row_min = scratch.buf("rsu_row_min", (flat_rows, 1), np.int64)
         t_grid, table = constants[0]
-        if all(other == t_grid for other, _ in constants[1:]):
-            # One grid temperature (a single solve, multi-seed
-            # ensembles): every chain gathers from the same memoized
-            # table, so the whole block flattens to one 2-D gather.
-            lambda_codes_lut_into(
-                quantized.reshape(flat_rows, shape[2]),
-                table,
-                first.config,
-                codes.reshape(flat_rows, shape[2]),
-                row_min,
-            )
-        else:
+        if any(other != t_grid for other, _ in constants[1:]):
             table = stacked_conversion_lut(
                 [t_grid for t_grid, _ in constants], first.config
             )
-            lambda_codes_lut_stacked_into(
-                quantized, table, first.config, codes, row_min
-            )
+        lambda_codes_lut_into(quantized, table, first.config, codes, row_min)
         ttf = scratch.buf("rsu_ttf", shape, first._ttf_dtype(shape[2]))
-        TTFSampler.sample_chains_into(
-            [sampler._ttf for sampler in samplers], codes, ttf, scratch
-        )
+        if ttf_type.sample is TTFSampler.sample:
+            TTFSampler.sample_chains_into(
+                [sampler._ttf for sampler in samplers], codes, ttf, scratch
+            )
+        else:
+            for index, sampler in enumerate(samplers):
+                ttf[index] = sampler._ttf.sample(codes[index])
         return select_first_to_fire_chains_into(
             ttf,
             first.config.tie_policy,

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.convert import boundary_table
+from repro.core.convert import boundary_table, conversion_lut
 from repro.isa.commands import (
     Command,
     Configure,
@@ -95,9 +95,7 @@ class RSUDriver:
                 commands.append(SetTemperature(index, 255))
             return commands
         # Legacy: stream the packed 4-bit LUT (two entries per byte).
-        from repro.core.convert import legacy_lut
-
-        lut = legacy_lut(grid_temperature, self.device.config)
+        lut = conversion_lut(grid_temperature, self.device.config)
         clipped = np.clip(lut, 0, 15).astype(int)
         commands = []
         for index in range(LEGACY_UPDATE_BYTES):

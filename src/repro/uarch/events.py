@@ -54,11 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import first_to_fire_winners
-from repro.core.convert import (
-    boundary_codes,
-    cached_boundary_table,
-    cached_legacy_lut,
-)
+from repro.core.convert import boundary_codes, boundary_table, conversion_lut
 from repro.core.params import RSUConfig
 from repro.core.pipeline import legacy_temperature_stall
 from repro.core.ttf import bins_from_uniforms
@@ -372,7 +368,7 @@ def run_legacy_machine(
     # conversions at cycles > c (the rewrite happens in the issue step,
     # after that cycle's convert step already ran).
     tables = [machine._lut] + [
-        cached_legacy_lut(temp, config) for temp in rewrite_temps
+        conversion_lut(temp, config) for temp in rewrite_temps
     ]
     if rewrite_cycles:
         epoch = np.searchsorted(
@@ -467,7 +463,7 @@ def _swap_epochs(
             cursor += 1
         if shadow is not None:
             swap_cycles.append(delivery)
-            tables.append(cached_boundary_table(shadow, machine.config))
+            tables.append(boundary_table(shadow, machine.config))
             shadow = None
     machine._bounds = tables[-1]
     machine._shadow_bounds = None
@@ -714,7 +710,7 @@ def _stall_policy_walk(
                 shadow = updates[update_cursor][1]
                 update_cursor += 1
             if shadow is not None:
-                final_bounds = cached_boundary_table(shadow, config)
+                final_bounds = boundary_table(shadow, config)
                 code_lut = boundary_codes(
                     final_bounds, domain, config.lambda_max_code
                 )

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.convert import cached_boundary_table, cached_legacy_lut
+from repro.core.convert import boundary_table, conversion_lut
 from repro.core.params import RSUConfig
 from repro.core.pipeline import (
     legacy_temperature_stall,
@@ -114,11 +114,11 @@ class LegacyMachine:
         self.window = sampling_window_cycles(config)
         self._rng = rng
         self._interface_bits = interface_bits
-        self._lut = cached_legacy_lut(temperature_grid, config)
+        self._lut = conversion_lut(temperature_grid, config)
 
     def update_temperature(self, temperature_grid: float) -> int:
         """Rewrite the energy-to-intensity LUT; returns the stall cycles."""
-        self._lut = cached_legacy_lut(temperature_grid, self.config)
+        self._lut = conversion_lut(temperature_grid, self.config)
         return legacy_temperature_stall(self.config, self._interface_bits)
 
     def run(
@@ -176,13 +176,13 @@ class NewMachine:
         self.waveguides = ret_network_replicas(config)
         self.concentrations = config.unique_lambdas
         self._rng = rng
-        self._bounds = cached_boundary_table(temperature_grid, config)
+        self._bounds = boundary_table(temperature_grid, config)
         self._shadow_bounds = None
         self._conflict_policy = conflict_policy
 
     def update_temperature(self, temperature_grid: float) -> int:
         """Stage new boundaries in the shadow registers; zero stalls."""
-        self._shadow_bounds = cached_boundary_table(temperature_grid, self.config)
+        self._shadow_bounds = boundary_table(temperature_grid, self.config)
         return 0
 
     def run(

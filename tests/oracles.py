@@ -8,10 +8,12 @@ for bit live here, where only tests reach them:
 
 * the reference draw of each sampler backend — the literal Gumbel-max,
   argmin and inverse-CDF formulas (with the CDF unit's per-label
-  weights), and the RSU-G stages allocated one by one, optionally with
-  the direct per-site ``exp`` λ-conversion instead of the table, ending
-  in a first-to-fire selection on freshly allocated keys for every row,
-  and the count of rows whose winner needs the tie order;
+  weights), and the RSU-G stages allocated one by one, with the direct
+  per-site ``exp`` λ-conversion instead of the table, ending in a
+  first-to-fire selection on freshly allocated keys for every row, and
+  the count of rows whose winner needs the tie order;
+* the new design's comparison-based conversion over whole energy rows,
+  and RSU MH accept steps converting each pair by the direct ``exp``;
 * the reference sweep — ``GridMRF.site_energies`` plus the reference
   draw per colour class;
 * solver, ensemble and tempering runs built from it: K independent
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.core.base import select_first_to_fire
 from repro.core.cdf_sampler import CDFSampler
-from repro.core.convert import lambda_codes
+from repro.core.convert import boundary_codes, boundary_table, lambda_codes
 from repro.core.rsu import RSUGSampler
 from repro.core.software import GreedySampler, SoftwareSampler
 from repro.core.ttf import TTFSampler
@@ -108,23 +110,17 @@ def tied_row_count(ttf):
     return int(np.count_nonzero((ttf == minima).sum(axis=-1) > 1))
 
 
-def rsu_sample(sampler, energies, temperature, lut=True):
-    """``RSUGSampler``: λ codes, the TTF stage's own draw, first to fire.
-
-    ``lut=False`` converts with the per-site ``exp`` of
-    :func:`lambda_codes` instead of the memoized table.
-    """
-    if lut:
-        codes = sampler.codes_for(energies, temperature)
-    else:
-        quantized = sampler.energy_stage.quantize(energies)
-        t_grid = sampler.energy_stage.quantized_temperature(temperature)
-        codes = lambda_codes(quantized, t_grid, sampler.config)
+def rsu_sample(sampler, energies, temperature):
+    """``RSUGSampler``: the per-site ``exp`` of :func:`lambda_codes` for
+    the λ codes, the TTF stage's own draw, first to fire."""
+    quantized = sampler.energy_stage.quantize(energies)
+    t_grid = sampler.energy_stage.quantized_temperature(temperature)
+    codes = lambda_codes(quantized, t_grid, sampler.config)
     ttf = sampler._ttf.sample(codes)
     return first_to_fire(ttf, sampler.config.tie_policy, sampler._rng)
 
 
-def reference_sample(sampler, energies, temperature, lut=True):
+def reference_sample(sampler, energies, temperature):
     """One block of ``sampler``'s labels through its reference draw.
 
     Backends without a batched kernel (machines, MH) have no second
@@ -137,8 +133,36 @@ def reference_sample(sampler, energies, temperature, lut=True):
     if isinstance(sampler, CDFSampler):
         return cdf_sample(sampler, energies, temperature)
     if isinstance(sampler, RSUGSampler):
-        return rsu_sample(sampler, energies, temperature, lut)
+        return rsu_sample(sampler, energies, temperature)
     return sampler.sample(energies, temperature)
+
+
+def lambda_codes_by_boundaries(quantized_energy, temperature, config):
+    """Comparison-based conversion (new design) of whole energy rows:
+    each row shifted by its minimum, then compared against the boundary
+    registers; must match :func:`lambda_codes`."""
+    energy = np.asarray(quantized_energy, dtype=np.float64)
+    scaled = energy - energy.min(axis=1, keepdims=True)
+    bounds = boundary_table(temperature, config)
+    return boundary_codes(bounds, scaled, config.lambda_max_code)
+
+
+def rsu_mh_steps(sampler, energies, temperature, current):
+    """``RSUMHSampler``'s accept steps with the per-step direct
+    :func:`lambda_codes` of each (current, proposal) pair."""
+    n, m = energies.shape
+    rows = np.arange(n)
+    current = np.asarray(current, dtype=np.int64).copy()
+    quantized = sampler.energy_stage.quantize(energies)
+    t_grid = sampler.energy_stage.quantized_temperature(temperature)
+    for _ in range(sampler.steps_per_update):
+        proposal = sampler._rng.integers(0, m, size=n)
+        pair = np.stack([quantized[rows, current], quantized[rows, proposal]], axis=1)
+        codes = lambda_codes(pair, t_grid, sampler.config)
+        ttf = sampler._ttf.sample(codes)
+        winners = first_to_fire(ttf, sampler.config.tie_policy, sampler._rng)
+        current = np.where(winners == 1, proposal, current)
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +170,8 @@ def reference_sample(sampler, energies, temperature, lut=True):
 # ---------------------------------------------------------------------------
 
 
-def reference_sweep(model, sampler, labels, temperature, lut=True):
-    """One checkerboard sweep of ``labels`` in place, class by class.
-
-    ``lut=False`` converts RSU-G energies with :func:`lambda_codes`
-    instead of the memoized table.
-    """
+def reference_sweep(model, sampler, labels, temperature):
+    """One checkerboard sweep of ``labels`` in place, class by class."""
     wants_current = getattr(sampler, "wants_current_labels", False)
     for mask in coloring_masks(model.shape, model.connectivity):
         energies = model.site_energies(labels, mask)
@@ -160,17 +180,17 @@ def reference_sweep(model, sampler, labels, temperature, lut=True):
                 energies, temperature, labels[mask]
             )
         else:
-            labels[mask] = reference_sample(sampler, energies, temperature, lut)
+            labels[mask] = reference_sample(sampler, energies, temperature)
     return labels
 
 
-def run_reference(solver, iterations, callback=None, lut=True):
+def run_reference(solver, iterations, callback=None):
     """``MCMCSolver.run`` through :func:`reference_sweep`."""
     labels = solver.initial_labels()
     result = SolveResult(labels=labels)
     for k in range(iterations):
         temperature = solver.schedule.temperature(k)
-        reference_sweep(solver.model, solver.sampler, labels, temperature, lut)
+        reference_sweep(solver.model, solver.sampler, labels, temperature)
         result.temperature_history.append(temperature)
         result.energy_history.append(
             solver.model.total_energy(labels) if solver.track_energy else float("nan")
@@ -199,7 +219,7 @@ def run_ensemble_reference(ensemble, iterations):
     )
 
 
-def run_tempering_reference(pt, sweeps, resume=None, lut=True):
+def run_tempering_reference(pt, sweeps, resume=None):
     """A ``ParallelTempering`` run as K independent reference chains.
 
     Every swap round alternates the even/odd pair alignment and draws
@@ -219,7 +239,7 @@ def run_tempering_reference(pt, sweeps, resume=None, lut=True):
     for sweep_index in range(start, sweeps):
         energies = []
         for solver, temperature, labels in zip(pt._solvers, temps, states):
-            reference_sweep(pt.model, solver.sampler, labels, temperature, lut)
+            reference_sweep(pt.model, solver.sampler, labels, temperature)
             energies.append(pt.model.total_energy(labels))
         if (sweep_index + 1) % pt.swap_interval == 0:
             first = (sweep_index // pt.swap_interval) % 2

@@ -9,20 +9,34 @@ from repro.core import (
     conversion_lut,
     conversion_memory_bits,
     lambda_codes,
-    lambda_codes_by_boundaries,
-    lambda_codes_lut,
+    lambda_codes_lut_into,
     legacy_design_config,
-    legacy_lut,
     new_design_config,
     stacked_conversion_lut,
 )
 from repro.util import ConfigError
+from tests.oracles import lambda_codes_by_boundaries
 
 NEW = new_design_config()
 
 
 def codes_for(energy_rows, temperature, config):
     return lambda_codes(np.asarray(energy_rows, dtype=float), temperature, config)
+
+
+def gather(energies, temperatures, config):
+    """:func:`lambda_codes_lut_into` over a ``(K, sites, labels)`` block,
+    chain ``k`` at ``temperatures[k]``; the table is shared when every
+    chain sits at one temperature, as the sampler passes it."""
+    energies = np.array(energies, dtype=np.int64)
+    chains, sites, _ = energies.shape
+    if len(set(temperatures)) == 1:
+        table = conversion_lut(temperatures[0], config)
+    else:
+        table = stacked_conversion_lut(temperatures, config)
+    out = np.empty_like(energies)
+    row_min = np.empty((chains * sites, 1), dtype=np.int64)
+    return lambda_codes_lut_into(energies, table, config, out, row_min)
 
 
 class TestScaling:
@@ -118,14 +132,14 @@ class TestMemoizedLutFastPath:
                 0, 2 ** config.energy_bits, size=(40, 9), dtype=np.int64
             )
             direct = lambda_codes(energies.astype(float), temperature, config)
-            lut = lambda_codes_lut(energies, temperature, config)
+            lut = gather(energies[None], [temperature], config)[0]
             assert np.array_equal(direct, lut), (config, temperature)
 
     @pytest.mark.parametrize("temperature", [0.7, 5.0, 40.0])
     def test_lut_direct_and_boundaries_all_agree(self, temperature):
         energies = np.arange(256, dtype=np.int64)[None, :]
         direct = lambda_codes(energies.astype(float), temperature, NEW)
-        lut = lambda_codes_lut(energies, temperature, NEW)
+        lut = gather(energies[None], [temperature], NEW)[0]
         boundaries = lambda_codes_by_boundaries(
             energies.astype(float), temperature, NEW
         )
@@ -150,53 +164,128 @@ class TestMemoizedLutFastPath:
         assert not first.flags.writeable
         assert first.shape == (2 ** NEW.energy_bits,)
 
-    def test_rejects_noninteger_energies(self):
-        with pytest.raises(ConfigError):
-            lambda_codes_lut(np.asarray([[0.5, 1.0]]), 5.0, NEW)
-
-    def test_rejects_energies_off_the_grid(self):
-        config = NEW.with_(scaling=False)
-        with pytest.raises(ConfigError):
-            lambda_codes_lut(np.asarray([[-1, 0]]), 5.0, config)
-        with pytest.raises(ConfigError):
-            lambda_codes_lut(np.asarray([[0, 256]]), 5.0, config)
-
     def test_rejects_1d_and_bad_temperature(self):
+        # The table is built by lambda_codes, which takes 2-D energies;
+        # the builders reject non-positive temperatures themselves.
         with pytest.raises(ConfigError):
-            lambda_codes_lut(np.zeros(4, dtype=np.int64), 1.0, NEW)
+            lambda_codes(np.zeros(4), 1.0, NEW)
         with pytest.raises(ConfigError):
-            lambda_codes_lut(np.zeros((1, 4), dtype=np.int64), 0.0, NEW)
+            conversion_lut(0.0, NEW)
+        with pytest.raises(ConfigError):
+            stacked_conversion_lut([1.0, 0.0], NEW)
 
     def test_sampler_codes_identical_with_and_without_lut(self):
-        # The sampler always gathers from the table; the direct per-site
-        # conversion of the same quantized energies must agree.
+        # The sampler gathers from the table at its quantized
+        # temperature; the direct per-site conversion of the same
+        # quantized energies must agree.
         from repro.core import RSUGSampler
 
         energies = np.random.default_rng(11).uniform(0, 9.0, size=(30, 6))
         sampler = RSUGSampler(NEW, 9.0, np.random.default_rng(0))
+        quantized = sampler.energy_stage.quantize(energies)
         for temperature in (0.3, 0.05, 2.0):
-            direct = lambda_codes(
-                sampler.energy_stage.quantize(energies),
-                sampler.energy_stage.quantized_temperature(temperature),
-                NEW,
+            t_grid, table = sampler._stage_constants(temperature)
+            direct = lambda_codes(quantized, t_grid, NEW)
+            codes = np.empty((1,) + quantized.shape, dtype=np.int64)
+            lambda_codes_lut_into(
+                quantized[None].copy(), table, NEW, codes, np.empty((30, 1), np.int64)
             )
-            assert np.array_equal(sampler.codes_for(energies, temperature), direct)
+            assert np.array_equal(codes[0], direct)
+
+
+class TestGather:
+    """The one energy-to-code gather against per-chain lambda_codes."""
+
+    CONFIGS = [NEW, NEW.with_(scaling=False), legacy_design_config()]
+
+    @staticmethod
+    def per_chain(energies, temperatures, config):
+        return np.stack(
+            [
+                lambda_codes(chain.astype(float), temperature, config)
+                for chain, temperature in zip(energies, temperatures)
+            ]
+        )
+
+    @staticmethod
+    def block(chains, seed=3):
+        return np.random.default_rng(seed).integers(
+            0, 256, size=(chains, 25, 7), dtype=np.int64
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["scaled", "unscaled", "legacy"])
+    def test_single_chain(self, config):
+        energies = self.block(1)
+        assert np.array_equal(
+            gather(energies, [6.0], config), self.per_chain(energies, [6.0], config)
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["scaled", "unscaled", "legacy"])
+    def test_chains_at_one_shared_temperature(self, config):
+        energies = self.block(4)
+        temperatures = [9.0] * 4
+        assert np.array_equal(
+            gather(energies, temperatures, config),
+            self.per_chain(energies, temperatures, config),
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["scaled", "unscaled", "legacy"])
+    def test_ladder_of_distinct_temperatures(self, config):
+        energies = self.block(5)
+        temperatures = [0.7, 3.0, 12.0, 40.0, 200.0]
+        assert np.array_equal(
+            gather(energies, temperatures, config),
+            self.per_chain(energies, temperatures, config),
+        )
+
+    def test_ladder_chains_with_a_repeated_temperature(self):
+        # Two chains at one temperature inside a ladder read the same
+        # slice contents from different offsets.
+        energies = self.block(3)
+        temperatures = [5.0, 5.0, 20.0]
+        assert np.array_equal(
+            gather(energies, temperatures, NEW),
+            self.per_chain(energies, temperatures, NEW),
+        )
+
+
+@pytest.mark.parametrize(
+    "config",
+    TestMemoizedLutFastPath.DESIGN_GRID + [legacy_design_config()],
+    ids=lambda config: (
+        f"s{int(config.scaling)}c{int(config.cutoff)}p{int(config.pow2_lambda)}"
+        f"-e{config.energy_bits}l{config.lambda_bits}"
+    ),
+)
+@pytest.mark.parametrize("temperature", [0.7, 5.0, 40.0, 200.0])
+def test_table_is_the_conversion_of_every_energy(config, temperature):
+    # The table, built unscaled, equals lambda_codes of the whole grid
+    # under the config's own scaling flag: the row minimum of arange is
+    # zero, so scaling shifts nothing and the table is also the
+    # previous design's energy-indexed LUT.
+    energies = np.arange(2**config.energy_bits, dtype=np.float64)[None, :]
+    assert np.array_equal(
+        conversion_lut(temperature, config),
+        lambda_codes(energies, temperature, config)[0],
+    )
 
 
 class TestLegacyLut:
+    """The previous design's LUT is the conversion table of its config."""
+
     def test_lut_size(self):
         config = NEW.with_(scaling=False, cutoff=False, pow2_lambda=False)
-        lut = legacy_lut(50.0, config)
+        lut = conversion_lut(50.0, config)
         assert lut.shape == (256,)
 
     def test_lut_monotonically_nonincreasing(self):
         config = NEW.with_(scaling=False, cutoff=False, pow2_lambda=False)
-        lut = legacy_lut(50.0, config)
+        lut = conversion_lut(50.0, config)
         assert np.all(np.diff(lut) <= 0)
 
     def test_lut_never_below_lambda0(self):
         config = NEW.with_(scaling=False, cutoff=False, pow2_lambda=False)
-        lut = legacy_lut(5.0, config)
+        lut = conversion_lut(5.0, config)
         assert lut.min() == 1
 
 

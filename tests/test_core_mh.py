@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import RSUMHSampler, SoftwareMHSampler, new_design_config
+from repro.core import (
+    RSUMHSampler,
+    SoftwareMHSampler,
+    legacy_design_config,
+    new_design_config,
+)
 from repro.core.mh import SoftwareMHSampler as _SW
 from repro.util import ConfigError, DataError
+from tests.oracles import rsu_mh_steps
 
 
 def two_state_energies(n, gap):
@@ -107,3 +113,31 @@ class TestRSUMH:
         labels = solver.run(params.iterations).labels
         bp = bad_pixel_percentage(labels, dataset.gt_disparity)
         assert bp < 40.0  # converges to a sensible map
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        new_design_config(),
+        new_design_config(scaling=False),
+        new_design_config(tie_policy="random"),
+        legacy_design_config(),
+    ],
+    ids=["new", "unscaled", "random_ties", "legacy"],
+)
+@pytest.mark.parametrize("temperature", [0.05, 0.4, 3.0])
+def test_rsu_mh_table_gather_matches_direct_conversion(config, temperature):
+    # The accept step gathers its pair codes from the memoized table;
+    # the per-step direct conversion must give the same labels and leave
+    # the generator in the same state.
+    energies = np.random.default_rng(5).uniform(0.0, 9.0, size=(200, 7))
+    current = np.random.default_rng(6).integers(0, 7, size=200)
+
+    def sampler():
+        return RSUMHSampler(config, 9.0, np.random.default_rng(9), steps_per_update=3)
+
+    table, direct = sampler(), sampler()
+    labels = table.sample_given_current(energies, temperature, current)
+    expected = rsu_mh_steps(direct, energies, temperature, current)
+    np.testing.assert_array_equal(labels, expected)
+    assert table.getstate() == direct.getstate()

@@ -72,12 +72,6 @@ class TestRSUGSampler:
         labels = backend.sample(np.tile([0.0, 0.9, 0.9], (500, 1)), 0.001)
         assert np.all(labels == 0)
 
-    def test_codes_for_exposes_conversion(self):
-        backend = NewRSUG(energy_full_scale=255.0, rng=np.random.default_rng(0))
-        codes = backend.codes_for(np.array([[0.0, 255.0]]), 10.0)
-        assert codes[0, 0] == backend.config.lambda_max_code
-        assert codes[0, 1] == 0
-
     def test_legacy_uniform_when_all_energies_large(self):
         # Without scaling, large absolute energies collapse every label
         # to lambda0 -> near-uniform sampling (the paper's failure mode).

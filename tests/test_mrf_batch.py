@@ -6,9 +6,10 @@ The contract under test (see ``repro/mrf/kernel.py`` and
 or a multi-seed ensemble — produces *byte-identical* results to K
 independent reference chains (``tests/oracles.py``): same label grids,
 same energy histories, same swap decisions, same consumption of every
-RNG stream.  Checked across backends, tie policies, the λ-table against
-the direct conversion, and connectivities, plus a tracemalloc bound on
-the batched kernel's steady-state allocations.
+RNG stream.  Checked across backends (a replaced, noisy TTF stage
+included), tie policies and connectivities, with the reference chains
+converting by the direct per-site ``exp`` rather than the λ-table, plus
+a tracemalloc bound on the batched kernel's steady-state allocations.
 """
 
 import tracemalloc
@@ -18,6 +19,8 @@ import pytest
 
 from repro.apps.common import make_backend
 from repro.core import (
+    NoisyTTFSampler,
+    RSUGSampler,
     RSUMHSampler,
     label_distance_matrix,
     new_design_config,
@@ -56,6 +59,14 @@ def chain_factory(kind, tie="first", base_seed=100):
         if kind == "rsu":
             cfg = new_design_config().with_(tie_policy=tie)
             return make_backend("rsu", FULL_SCALE, seed=base_seed + index, config=cfg)
+        if kind == "noisy_rsu" or (kind == "mixed_ttf" and index % 2 == 0):
+            cfg = new_design_config().with_(tie_policy=tie)
+            rng = np.random.default_rng(base_seed + index)
+            ttf = NoisyTTFSampler(cfg, rng, dark_prob=0.02, bleed_prob=0.01)
+            return RSUGSampler(cfg, FULL_SCALE, rng, ttf_sampler=ttf)
+        if kind == "mixed_ttf":
+            cfg = new_design_config().with_(tie_policy=tie)
+            return make_backend("rsu", FULL_SCALE, seed=base_seed + index, config=cfg)
         if kind == "mixed":
             inner = "software" if index % 2 == 0 else "new_rsug"
             return make_backend(inner, FULL_SCALE, seed=base_seed + index)
@@ -64,7 +75,7 @@ def chain_factory(kind, tie="first", base_seed=100):
     return factory
 
 
-def run_tempering(batched, kind, tie="first", lut=True, connectivity=4,
+def run_tempering(batched, kind, tie="first", connectivity=4,
                   sweeps=12, swap_interval=2, replicas=4):
     model = tiny_model(connectivity)
     pt = ParallelTempering(
@@ -76,7 +87,7 @@ def run_tempering(batched, kind, tie="first", lut=True, connectivity=4,
     )
     if batched:
         return pt.run(sweeps)
-    return run_tempering_reference(pt, sweeps, lut=lut)
+    return run_tempering_reference(pt, sweeps)
 
 
 def assert_tempering_identical(kind, **kwargs):
@@ -94,12 +105,11 @@ def assert_tempering_identical(kind, **kwargs):
 
 
 class TestTemperingIdentity:
-    @pytest.mark.parametrize("kind", ["software", "rsu", "new_rsug", "cdf_ideal"])
+    @pytest.mark.parametrize(
+        "kind", ["software", "rsu", "new_rsug", "cdf_ideal", "noisy_rsu", "mixed_ttf"]
+    )
     def test_backends_match(self, kind):
         assert_tempering_identical(kind)
-
-    def test_lut_off_matches(self):
-        assert_tempering_identical("rsu", lut=False)
 
     def test_random_tie_matches(self):
         assert_tempering_identical("rsu", tie="random")
@@ -177,7 +187,7 @@ def ensemble_pair(kind="rsu", chains=5, iterations=10, track_energy=True):
 
 
 class TestEnsembleIdentity:
-    @pytest.mark.parametrize("kind", ["software", "rsu"])
+    @pytest.mark.parametrize("kind", ["software", "rsu", "noisy_rsu"])
     def test_matches_sequential_solvers(self, kind):
         _, _, batched, sequential = ensemble_pair(kind)
         assert np.array_equal(batched.chain_labels, sequential.chain_labels)

@@ -11,7 +11,6 @@ from repro.core import (
     bin_probabilities,
     label_distance_matrix,
     lambda_codes,
-    lambda_codes_by_boundaries,
     select_first_to_fire,
 )
 from repro.metrics import (
@@ -21,6 +20,7 @@ from repro.metrics import (
 )
 from repro.mrf import ConstantSchedule, GeometricSchedule, GridMRF, MCMCSolver
 from repro.util.quantize import nearest_pow2, pow2_floor, quantize_unsigned
+from tests.oracles import lambda_codes_by_boundaries
 
 # ---------------------------------------------------------------------------
 # Quantization

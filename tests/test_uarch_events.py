@@ -192,16 +192,8 @@ class TestMachineInTheLoop:
 
 
 class TestTableHoisting:
-    def test_boundary_table_built_once_across_runs(self, monkeypatch):
-        calls = {"n": 0}
-        real = convert.boundary_table
-
-        def counting(temperature, config):
-            calls["n"] += 1
-            return real(temperature, config)
-
-        monkeypatch.setattr(convert, "boundary_table", counting)
-        convert._cached_boundary_table.cache_clear()
+    def test_boundary_table_built_once_across_runs(self):
+        convert._boundary_table.cache_clear()
         try:
             config = new_design_config()
             machine = NewMachine(config, 40.0, np.random.default_rng(0))
@@ -209,42 +201,36 @@ class TestTableHoisting:
             machine.run_matrix(quantized)
             machine.run_matrix(quantized)
             machine.run_matrix(quantized)
-            assert calls["n"] == 1
+            assert convert._boundary_table.cache_info().misses == 1
             # A second machine at the same design point reuses the table.
             NewMachine(config, 40.0, np.random.default_rng(2))
-            assert calls["n"] == 1
+            assert convert._boundary_table.cache_info().misses == 1
         finally:
-            convert._cached_boundary_table.cache_clear()
+            convert._boundary_table.cache_clear()
 
-    def test_legacy_lut_built_once_per_temperature(self, monkeypatch):
-        calls = {"n": 0}
-        real = convert.legacy_lut
-
-        def counting(temperature, config):
-            calls["n"] += 1
-            return real(temperature, config)
-
-        monkeypatch.setattr(convert, "legacy_lut", counting)
-        convert._cached_legacy_lut.cache_clear()
+    def test_legacy_lut_built_once_per_temperature(self):
+        convert._conversion_lut.cache_clear()
         try:
             config = legacy_design_config()
             machine = LegacyMachine(config, 40.0, np.random.default_rng(0))
             quantized = np.random.default_rng(1).integers(0, 256, (5, 4))
             machine.run_matrix(quantized)
             machine.run_matrix(quantized)
-            assert calls["n"] == 1
+            assert convert._conversion_lut.cache_info().misses == 1
             machine.update_temperature(20.0)  # new temperature: one build
-            assert calls["n"] == 2
+            assert convert._conversion_lut.cache_info().misses == 2
             machine.update_temperature(40.0)  # cached from the ctor
-            assert calls["n"] == 2
+            assert convert._conversion_lut.cache_info().misses == 2
         finally:
-            convert._cached_legacy_lut.cache_clear()
+            convert._conversion_lut.cache_clear()
 
     def test_cached_tables_are_read_only(self):
-        convert._cached_boundary_table.cache_clear()
-        table = convert.cached_boundary_table(40.0, new_design_config())
-        with pytest.raises(ValueError):
-            table[0] = 0.0
+        for table in (
+            convert.boundary_table(40.0, new_design_config()),
+            convert.conversion_lut(40.0, legacy_design_config()),
+        ):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestTraceRingBuffer:

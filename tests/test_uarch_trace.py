@@ -9,6 +9,8 @@ import pytest
 
 import repro.uarch.trace as trace_module
 from repro.core import legacy_design_config, new_design_config
+from repro.core.convert import boundary_codes, boundary_table
+from repro.core.pipeline import sampling_window_cycles
 from repro.uarch import LegacyMachine, NewMachine, VariableJob, jobs_from_energies
 from repro.uarch.trace import STAGE_LETTERS, PipelineTrace
 from repro.util import ConfigError
@@ -21,11 +23,13 @@ EXAMPLE_STDOUT_SHA256 = (
 )
 
 
+def fixture_energies(n_vars=2, labels=4, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, (n_vars, labels))
+
+
 def traced_new_run(n_vars=2, labels=4, seed=0):
     trace = PipelineTrace()
-    jobs = jobs_from_energies(
-        np.random.default_rng(seed).integers(0, 256, (n_vars, labels))
-    )
+    jobs = jobs_from_energies(fixture_energies(n_vars, labels, seed))
     machine = NewMachine(
         new_design_config(), 40.0, np.random.default_rng(seed + 1), trace=trace
     )
@@ -35,16 +39,24 @@ def traced_new_run(n_vars=2, labels=4, seed=0):
 
 class TestRecording:
     def test_every_evaluation_passes_all_new_stages(self):
-        trace, _ = traced_new_run()
+        # Cut-off (code 0) labels are scheduled like live ones — the
+        # engine and the per-cycle reference both give them a full RET
+        # window — but their TTF is the cut-off bin, so they never win.
+        trace, result = traced_new_run()
+        config = new_design_config()
+        energies = fixture_energies()
+        scaled = energies - energies.min(axis=1, keepdims=True)
+        codes = boundary_codes(boundary_table(40.0, config), scaled, config.lambda_max_code)
+        assert np.count_nonzero(codes == 0) >= 1
         grouped = trace.by_evaluation()
         assert len(grouped) == 2 * 4
         for events in grouped.values():
             stages = [e.stage for e in events]
             for required in ("issue", "energy", "fifo", "scale", "convert", "select"):
                 assert required in stages
-            # Cut-off labels skip RET; others occupy it for the window.
-            if "ret" in stages:
-                assert stages.count("ret") == 4
+            assert stages.count("ret") == sampling_window_cycles(config)
+        for variable, winner in result.winners.items():
+            assert codes[variable, winner] > 0
 
     def test_stage_order_monotone_in_cycles(self):
         trace, _ = traced_new_run()
