@@ -9,7 +9,8 @@ for bit live here, where only tests reach them:
 * the reference draw of each sampler backend — the literal Gumbel-max,
   argmin and inverse-CDF formulas (with the CDF unit's per-label
   weights), and the RSU-G stages allocated one by one, with the direct
-  per-site ``exp`` λ-conversion instead of the table, ending in a
+  per-site ``exp`` λ-conversion (or plain indexing into the table)
+  instead of the engine's gather, ending in a
   first-to-fire selection on freshly allocated keys for every row, and
   the count of rows whose winner needs the tie order;
 * the new design's comparison-based conversion over whole energy rows,
@@ -37,7 +38,12 @@ import numpy as np
 
 from repro.core.base import select_first_to_fire
 from repro.core.cdf_sampler import CDFSampler
-from repro.core.convert import boundary_codes, boundary_table, lambda_codes
+from repro.core.convert import (
+    boundary_codes,
+    boundary_table,
+    conversion_lut,
+    lambda_codes,
+)
 from repro.core.rsu import RSUGSampler
 from repro.core.software import GreedySampler, SoftwareSampler
 from repro.core.ttf import TTFSampler
@@ -110,17 +116,28 @@ def tied_row_count(ttf):
     return int(np.count_nonzero((ttf == minima).sum(axis=-1) > 1))
 
 
-def rsu_sample(sampler, energies, temperature):
+def rsu_sample(sampler, energies, temperature, lut=False):
     """``RSUGSampler``: the per-site ``exp`` of :func:`lambda_codes` for
-    the λ codes, the TTF stage's own draw, first to fire."""
+    the λ codes, the TTF stage's own draw, first to fire.
+
+    ``lut=True`` reads the codes by plain fancy indexing into
+    :func:`conversion_lut` (at row-minimum-shifted indices when the
+    design scales) instead of the ``exp``.
+    """
     quantized = sampler.energy_stage.quantize(energies)
     t_grid = sampler.energy_stage.quantized_temperature(temperature)
-    codes = lambda_codes(quantized, t_grid, sampler.config)
+    config = sampler.config
+    if lut:
+        if config.scaling:
+            quantized = quantized - quantized.min(axis=1, keepdims=True)
+        codes = conversion_lut(t_grid, config)[quantized]
+    else:
+        codes = lambda_codes(quantized, t_grid, config)
     ttf = sampler._ttf.sample(codes)
     return first_to_fire(ttf, sampler.config.tie_policy, sampler._rng)
 
 
-def reference_sample(sampler, energies, temperature):
+def reference_sample(sampler, energies, temperature, lut=False):
     """One block of ``sampler``'s labels through its reference draw.
 
     Backends without a batched kernel (machines, MH) have no second
@@ -133,7 +150,7 @@ def reference_sample(sampler, energies, temperature):
     if isinstance(sampler, CDFSampler):
         return cdf_sample(sampler, energies, temperature)
     if isinstance(sampler, RSUGSampler):
-        return rsu_sample(sampler, energies, temperature)
+        return rsu_sample(sampler, energies, temperature, lut)
     return sampler.sample(energies, temperature)
 
 
@@ -170,8 +187,11 @@ def rsu_mh_steps(sampler, energies, temperature, current):
 # ---------------------------------------------------------------------------
 
 
-def reference_sweep(model, sampler, labels, temperature):
-    """One checkerboard sweep of ``labels`` in place, class by class."""
+def reference_sweep(model, sampler, labels, temperature, lut=False):
+    """One checkerboard sweep of ``labels`` in place, class by class.
+
+    ``lut`` selects the RSU-G reference conversion (see :func:`rsu_sample`).
+    """
     wants_current = getattr(sampler, "wants_current_labels", False)
     for mask in coloring_masks(model.shape, model.connectivity):
         energies = model.site_energies(labels, mask)
@@ -180,17 +200,17 @@ def reference_sweep(model, sampler, labels, temperature):
                 energies, temperature, labels[mask]
             )
         else:
-            labels[mask] = reference_sample(sampler, energies, temperature)
+            labels[mask] = reference_sample(sampler, energies, temperature, lut)
     return labels
 
 
-def run_reference(solver, iterations, callback=None):
+def run_reference(solver, iterations, callback=None, lut=False):
     """``MCMCSolver.run`` through :func:`reference_sweep`."""
     labels = solver.initial_labels()
     result = SolveResult(labels=labels)
     for k in range(iterations):
         temperature = solver.schedule.temperature(k)
-        reference_sweep(solver.model, solver.sampler, labels, temperature)
+        reference_sweep(solver.model, solver.sampler, labels, temperature, lut)
         result.temperature_history.append(temperature)
         result.energy_history.append(
             solver.model.total_energy(labels) if solver.track_energy else float("nan")

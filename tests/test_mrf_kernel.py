@@ -118,9 +118,11 @@ def test_identity_legacy_design_points(config):
     assert_fused_matches_reference(kind="rsu", config=config)
 
 
-def test_identity_stereo_solve():
+@pytest.mark.parametrize("lut", [True, False], ids=["lut", "direct"])
+def test_identity_stereo_solve(lut):
     # A stereo-shaped annealed solve: the engine, gathering from the
-    # λ-table, matches the reference sweep's direct per-site conversion.
+    # λ-table, matches the reference sweep converting by plain indexing
+    # into the table and by the direct per-site exp.
     from repro.apps.stereo import StereoParams, build_stereo_mrf
     from repro.data import load_stereo
     from repro.mrf import geometric_for_span
@@ -136,7 +138,7 @@ def test_identity_stereo_solve():
         return MCMCSolver(model, sampler, schedule, seed=3, track_energy=False)
 
     engine = solver().run(params.iterations)
-    reference = run_reference(solver(), params.iterations)
+    reference = run_reference(solver(), params.iterations, lut=lut)
     np.testing.assert_array_equal(engine.labels, reference.labels)
 
 
