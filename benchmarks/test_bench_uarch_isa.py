@@ -7,27 +7,22 @@ from conftest import run_once
 
 from repro.core import legacy_design_config, new_design_config
 from repro.isa import Configure, RSUDevice, RSUDriver
-from repro.uarch import (
-    CycleCountingBackend,
-    LegacyMachine,
-    NewMachine,
-    jobs_from_energies,
-)
+from repro.uarch import CycleCountingBackend, LegacyMachine, NewMachine
 from tests.oracles import ScalarCycleCountingBackend, run_per_cycle
 
 
 def test_bench_structural_machines(benchmark, bench_profile):
     """Event-driven simulation (the default) of both pipelines on one
     label stream, checked cycle-identical against the scalar oracles."""
-    jobs = jobs_from_energies(
-        np.random.default_rng(0).integers(0, 256, (60, 12))
-    )
+    quantized = np.random.default_rng(0).integers(0, 256, (60, 12))
 
     def run_both():
         legacy = LegacyMachine(
             legacy_design_config(), 40.0, np.random.default_rng(1)
-        ).run(jobs)
-        new = NewMachine(new_design_config(), 40.0, np.random.default_rng(1)).run(jobs)
+        ).run_matrix(quantized)
+        new = NewMachine(
+            new_design_config(), 40.0, np.random.default_rng(1)
+        ).run_matrix(quantized)
         return legacy, new
 
     legacy, new = run_once(benchmark, run_both)
@@ -40,25 +35,27 @@ def test_bench_structural_machines(benchmark, bench_profile):
         ("new", new_design_config(), new),
     ):
         machine_cls = LegacyMachine if design == "legacy" else NewMachine
-        oracle = run_per_cycle(machine_cls(config, 40.0, np.random.default_rng(1)), jobs)
-        assert fast.winners == oracle.winners
-        assert fast.winner_cycle == oracle.winner_cycle
+        oracle = run_per_cycle(
+            machine_cls(config, 40.0, np.random.default_rng(1)), quantized
+        )
+        assert np.array_equal(fast.winners, oracle.winners)
+        assert np.array_equal(fast.winner_cycle, oracle.winner_cycle)
+        assert np.array_equal(fast.issue_cycle, oracle.issue_cycle)
         assert fast.total_cycles == oracle.total_cycles
         assert fast.stats == oracle.stats
 
 
 def test_bench_scalar_oracle_machines(benchmark, bench_profile):
     """The per-cycle scalar oracles, timed for the trajectory record."""
-    jobs = jobs_from_energies(
-        np.random.default_rng(0).integers(0, 256, (60, 12))
-    )
+    quantized = np.random.default_rng(0).integers(0, 256, (60, 12))
 
     def run_both():
         legacy = run_per_cycle(
-            LegacyMachine(legacy_design_config(), 40.0, np.random.default_rng(1)), jobs
+            LegacyMachine(legacy_design_config(), 40.0, np.random.default_rng(1)),
+            quantized,
         )
         new = run_per_cycle(
-            NewMachine(new_design_config(), 40.0, np.random.default_rng(1)), jobs
+            NewMachine(new_design_config(), 40.0, np.random.default_rng(1)), quantized
         )
         return legacy, new
 

@@ -2,7 +2,7 @@
 
 Counters, gauges, histogram timers, and nestable spans behind a
 process-wide enable switch (:func:`enable` / :func:`use_telemetry`),
-plus exporters (JSONL trace, Prometheus text, human report table).
+plus exporters (JSONL trace, human report table).
 See docs/observability.md for the metric catalogue.
 """
 
@@ -10,11 +10,9 @@ from repro.obs.exporters import (
     derived_metrics,
     load_trace,
     parse_jsonl,
-    prometheus_name,
     render_report,
     telemetry_from_events,
     to_jsonl,
-    to_prometheus,
     write_jsonl,
 )
 from repro.obs.telemetry import (
@@ -47,11 +45,9 @@ __all__ = [
     "enabled",
     "load_trace",
     "parse_jsonl",
-    "prometheus_name",
     "render_report",
     "telemetry_from_events",
     "to_jsonl",
-    "to_prometheus",
     "use_telemetry",
     "write_jsonl",
 ]

@@ -3,7 +3,7 @@
 ``repro-obs report --trace run.jsonl`` reloads a JSONL trace written by
 ``rsu-experiments run --telemetry --trace-out run.jsonl`` (or by
 :func:`repro.obs.write_jsonl`) and prints the summary table; ``--format
-prom`` re-emits it as Prometheus text instead.  The same commands are
+jsonl`` re-emits the trace instead.  The same commands are
 reachable as the ``obs`` subcommand of ``rsu-experiments``.
 """
 
@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.obs.exporters import load_trace, render_report, to_prometheus
+from repro.obs.exporters import load_trace, render_report
 from repro.util.errors import ReproError
 
 
@@ -27,7 +27,7 @@ def add_obs_parser(subparsers) -> None:
     )
     report.add_argument(
         "--format",
-        choices=("table", "prom", "jsonl"),
+        choices=("table", "jsonl"),
         default="table",
         help="output format (default: human table)",
     )
@@ -36,9 +36,7 @@ def add_obs_parser(subparsers) -> None:
 
 def run_report(args: argparse.Namespace) -> int:
     telemetry = load_trace(args.trace)
-    if args.format == "prom":
-        sys.stdout.write(to_prometheus(telemetry))
-    elif args.format == "jsonl":
+    if args.format == "jsonl":
         from repro.obs.exporters import to_jsonl
 
         sys.stdout.write(to_jsonl(telemetry))

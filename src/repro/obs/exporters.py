@@ -1,6 +1,6 @@
-"""Telemetry exporters: JSONL event stream, Prometheus text, report table.
+"""Telemetry exporters: JSONL event stream and report table.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 * :func:`to_jsonl` / :func:`write_jsonl` — one JSON object per line
   (``meta``, ``counter``, ``gauge``, ``histogram``, ``span`` records),
@@ -8,9 +8,6 @@ Three consumers, three formats:
   :func:`telemetry_from_events` round-trip it back into a
   :class:`~repro.obs.telemetry.Telemetry` for offline reporting
   (``rsu-experiments obs report --trace run.jsonl``).
-* :func:`to_prometheus` — the Prometheus text exposition format
-  (``# TYPE`` headers, sanitized ``repro_``-prefixed names) for
-  scraping or diffing.
 * :func:`render_report` — the human summary table the ``obs report``
   CLI prints: counters, gauges, histograms with count/mean/min/max,
   plus derived headline rates (acceptance rate, cache hit rate,
@@ -22,7 +19,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 from typing import Dict, Iterable, List, Optional
 
 from repro.obs.telemetry import SNAPSHOT_VERSION, SpanEvent, Telemetry
@@ -155,44 +151,6 @@ def load_trace(path: os.PathLike) -> Telemetry:
     """Read a JSONL trace file back into a Telemetry."""
     with open(path, encoding="utf-8") as handle:
         return telemetry_from_events(parse_jsonl(handle.read()))
-
-
-# ----------------------------------------------------------------------
-# Prometheus text format
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def prometheus_name(name: str, prefix: str = "repro_") -> str:
-    """Sanitize a dotted metric name into a Prometheus identifier."""
-    sanitized = _NAME_RE.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return prefix + sanitized
-
-
-def to_prometheus(telemetry: Telemetry) -> str:
-    """Prometheus text exposition: counters, gauges, histogram summaries."""
-    lines: List[str] = []
-    for name, counter in sorted(telemetry.counters.items()):
-        metric = prometheus_name(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {counter.value:g}")
-    for name, gauge in sorted(telemetry.gauges.items()):
-        if gauge.value != gauge.value:  # NaN: never written
-            continue
-        metric = prometheus_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {gauge.value:g}")
-    for name, histogram in sorted(telemetry.histograms.items()):
-        metric = prometheus_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {histogram.count:g}")
-        lines.append(f"{metric}_sum {histogram.total:g}")
-        if histogram.count:
-            lines.append(f"{metric}_min {histogram.min:g}")
-            lines.append(f"{metric}_max {histogram.max:g}")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

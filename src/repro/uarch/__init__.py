@@ -23,7 +23,9 @@ assert that, plus the structural invariants (no structural hazards, at
 most two variables resident in the FIFO, no RET-network reuse before
 the residual-excitation rest interval).
 
-Both machines run on the event-driven batched engine in
+Each machine has one entry point, ``run_matrix``: an ``(n_vars, M)``
+matrix of quantized energies in, a :class:`MachineResult` of per-row
+arrays out.  Both machines run on the event-driven batched engine in
 :mod:`repro.uarch.events`, which computes each run's
 :class:`MachineResult` — cycle for cycle, bit for bit the one the
 per-cycle latch loop would produce — from scheduled events and
@@ -37,7 +39,6 @@ from repro.uarch.backend import CycleCountingBackend, MachineBackend
 from repro.uarch.events import (
     EventQueue,
     JobStream,
-    stream_from_jobs,
     stream_from_matrix,
     ttf_bins_from_uniforms,
 )
@@ -45,11 +46,7 @@ from repro.uarch.trace import PipelineTrace, TraceEvent
 from repro.uarch.machines import (
     LegacyMachine,
     MachineResult,
-    NewDesignMachine,
     NewMachine,
-    PreviousDesignMachine,
-    VariableJob,
-    jobs_from_energies,
 )
 
 __all__ = [
@@ -59,14 +56,9 @@ __all__ = [
     "MachineBackend",
     "EventQueue",
     "JobStream",
-    "stream_from_jobs",
     "stream_from_matrix",
     "ttf_bins_from_uniforms",
     "LegacyMachine",
     "MachineResult",
-    "NewDesignMachine",
     "NewMachine",
-    "PreviousDesignMachine",
-    "VariableJob",
-    "jobs_from_energies",
 ]

@@ -104,18 +104,14 @@ class MachineBackend(SamplerBackend):
             tel.inc("uarch.batches")
             tel.inc("uarch.cycles", result.total_cycles)
             tel.inc("uarch.labels", quantized.size)
-            stats = result.stats or {}
+            stats = result.stats
             stalls = sum(
                 value for key, value in stats.items() if key.endswith("stalls")
             )
             tel.inc("uarch.stalls", stalls)
             tel.inc("uarch.network_conflicts", stats.get("network_conflicts", 0))
             tel.inc("uarch.trace_dropped", stats.get("trace_dropped", 0))
-        return np.fromiter(
-            (result.winners[v] for v in range(quantized.shape[0])),
-            dtype=np.int64,
-            count=quantized.shape[0],
-        )
+        return result.winners
 
 
 class CycleCountingBackend(MachineBackend):

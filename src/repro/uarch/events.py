@@ -40,7 +40,7 @@ cycle**, from its scheduled events:
 ``tests/test_uarch_events.py`` proves the result cycle-identical to the
 per-cycle reference — same winners, same winner cycles, same total
 cycles, same stats dict, same generator end state — across designs,
-conflict policies, ``Time_bits``, label counts and temperature
+conflict policies, ``Time_bits``, matrix shapes and temperature
 schedules, plus an end-to-end machine-in-the-loop solve;
 ``tests/test_uarch_trace.py`` proves the traces equal event for event.
 """
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from repro.core.convert import boundary_codes, boundary_table, conversion_lut
 from repro.core.params import RSUConfig
 from repro.core.pipeline import legacy_temperature_stall
 from repro.core.ttf import bins_from_uniforms
-from repro.util.errors import ConfigError
 
 #: Sentinel "minus infinity" for the max-plus recurrences (int64-safe).
 _NEG = np.int64(-(1 << 60))
@@ -104,51 +103,38 @@ class EventQueue:
 
 @dataclass
 class JobStream:
-    """Canonical flat view of a job list, in *evaluation* order.
+    """Flat view of an ``(n_jobs, labels)`` energy matrix, in
+    *evaluation* order.
 
     Both machines issue a job's labels with a decrementing counter
     (label ``M-1`` first), so evaluation order within a job is reversed
-    label order; ``energies_eval`` stores energies in that order.
+    label order; ``energies_eval`` stores energies in that order, and
+    job ``j``'s evaluations are ``j * labels`` to ``(j + 1) * labels - 1``.
     """
 
-    variable_ids: List[int]
-    labels_per_job: np.ndarray  # (V,) int64
-    offsets: np.ndarray  # (V + 1,) int64 prefix sums into the flat arrays
-    energies_eval: np.ndarray  # (N,) int64 quantized energies, eval order
+    labels: int
+    energies_eval: np.ndarray  # (n_jobs * labels,) int64 quantized energies
 
     @property
     def n_jobs(self) -> int:
-        return len(self.variable_ids)
+        return self.energies_eval.size // self.labels
 
     @property
     def n_evals(self) -> int:
-        return int(self.offsets[-1])
+        return self.energies_eval.size
 
-
-def stream_from_jobs(jobs: Sequence) -> JobStream:
-    """Flatten a ``VariableJob`` sequence (labels reversed per job)."""
-    labels_per_job = np.asarray([len(job.energies) for job in jobs], dtype=np.int64)
-    offsets = np.zeros(len(jobs) + 1, dtype=np.int64)
-    np.cumsum(labels_per_job, out=offsets[1:])
-    energies_eval = np.concatenate(
-        [np.asarray(job.energies)[::-1].astype(np.int64) for job in jobs]
-    )
-    return JobStream(
-        [job.variable_id for job in jobs], labels_per_job, offsets, energies_eval
-    )
+    @property
+    def first_evals(self) -> np.ndarray:
+        """Evaluation index of each job's first (label ``M-1``) issue."""
+        return np.arange(0, self.n_evals, self.labels, dtype=np.int64)
 
 
 def stream_from_matrix(quantized: np.ndarray) -> JobStream:
-    """Flatten an ``(n_vars, M)`` quantized-energy matrix without
-    materializing per-variable job objects (the backend hot path)."""
-    arr = np.asarray(quantized)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ConfigError(f"expected a non-empty (n_vars, M) matrix, got {arr.shape}")
-    n_vars, labels = arr.shape
-    labels_per_job = np.full(n_vars, labels, dtype=np.int64)
-    offsets = np.arange(n_vars + 1, dtype=np.int64) * labels
-    energies_eval = np.ascontiguousarray(arr[:, ::-1]).astype(np.int64).reshape(-1)
-    return JobStream(list(range(n_vars)), labels_per_job, offsets, energies_eval)
+    """Flatten a validated ``(n_vars, M)`` quantized-energy matrix (see
+    :meth:`repro.uarch.machines.LegacyMachine.run_matrix`)."""
+    labels = quantized.shape[1]
+    energies_eval = np.ascontiguousarray(quantized[:, ::-1], dtype=np.int64)
+    return JobStream(labels, energies_eval.reshape(-1))
 
 
 def ttf_bins_from_uniforms(
@@ -170,7 +156,7 @@ def _interleaved_uniforms(
     rng: np.random.Generator,
     ret_cycles: np.ndarray,
     delivery_last: np.ndarray,
-    labels_per_job: np.ndarray,
+    labels: int,
     tie_random: bool,
 ):
     """One bulk draw covering every uniform the per-cycle machine consumes.
@@ -190,7 +176,7 @@ def _interleaved_uniforms(
         return rng.random(n_evals), None, None
     keys = np.concatenate([ret_cycles * 2 + 1, delivery_last * 2])
     counts = np.concatenate(
-        [np.ones(n_evals, dtype=np.int64), labels_per_job.astype(np.int64)]
+        [np.ones(n_evals, dtype=np.int64), np.full(delivery_last.size, labels)]
     )
     order = np.argsort(keys, kind="stable")
     starts_sorted = np.zeros(order.size, dtype=np.int64)
@@ -209,31 +195,19 @@ def _select_winners(
     sel_pool: Optional[np.ndarray],
     sel_starts: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Per-variable first-to-fire winners, batched over equal label counts.
+    """Per-variable first-to-fire winners, one vectorized row argmin.
 
     Mirrors :func:`repro.core.base.select_first_to_fire` on each
-    variable's TTF row (indexed by *label*, so the eval-order flat array
-    is reversed per job): integer keys ``ttf * M + order`` and a row
-    argmin.  Rows are grouped by label count so one vectorized argmin
-    covers each group; per-row results are unchanged by the grouping.
+    variable's TTF row, indexed by *label*: the eval-order flat array
+    holds label ``M-1`` first, so each job's row is reversed.
     """
-    winners = np.empty(stream.n_jobs, dtype=np.int64)
-    job_labels = stream.labels_per_job
-    for labels in np.unique(job_labels):
-        labels = int(labels)
-        jobs_idx = np.nonzero(job_labels == labels)[0]
-        # Eval order is label M-1 .. 0: position offset + (M-1-label).
-        gather = stream.offsets[jobs_idx][:, None] + (
-            labels - 1 - np.arange(labels, dtype=np.int64)
-        )
-        rows = ttf_eval[gather]  # (n_group, M), indexed by label
-        u_rows = None
-        if tie_policy == "random":  # the rows the per-cycle selection would draw
-            u_rows = sel_pool[
-                sel_starts[jobs_idx][:, None] + np.arange(labels, dtype=np.int64)
-            ]
-        winners[jobs_idx] = first_to_fire_winners(rows, tie_policy, u_rows)
-    return winners
+    labels = stream.labels
+    rows = np.ascontiguousarray(ttf_eval.reshape(stream.n_jobs, labels)[:, ::-1])
+    u_rows = None
+    if tie_policy == "random":  # the rows the per-cycle selection would draw
+        u_rows = sel_pool[sel_starts[:, None] + np.arange(labels, dtype=np.int64)]
+    winners = first_to_fire_winners(rows, tie_policy, u_rows)
+    return winners.astype(np.int64, copy=False)
 
 
 def _finish(
@@ -245,7 +219,7 @@ def _finish(
     issue_start: np.ndarray,
     stats: Dict[str, int],
 ):
-    """Shared tail: batched entropy, TTF binning, selection, result dicts."""
+    """Shared tail: batched entropy, TTF binning, selection, result."""
     from repro.uarch.machines import MachineResult  # local: avoid cycle
 
     config = machine.config
@@ -253,30 +227,24 @@ def _finish(
         machine._rng,
         ret_cycles,
         delivery_last,
-        stream.labels_per_job,
+        stream.labels,
         config.tie_policy == "random",
     )
     ttf_eval = ttf_bins_from_uniforms(config, codes_eval, ttf_uniforms)
-    winner_labels = _select_winners(
+    winners = _select_winners(
         stream, ttf_eval, config.tie_policy, sel_pool, sel_starts
     )
-    winners = {
-        vid: int(winner_labels[j]) for j, vid in enumerate(stream.variable_ids)
-    }
-    winner_cycle = {
-        vid: int(delivery_last[j]) for j, vid in enumerate(stream.variable_ids)
-    }
-    stats["issue_cycles"] = {
-        vid: int(issue_start[j]) for j, vid in enumerate(stream.variable_ids)
-    }
     total_cycles = int(delivery_last[-1]) + 1
-    return MachineResult(winners, winner_cycle, total_cycles, stats)
+    return MachineResult(winners, delivery_last, issue_start, total_cycles, stats)
 
 
-def _eval_index_within_job(stream: JobStream) -> np.ndarray:
-    """Position of each evaluation within its job (0-based, eval order)."""
-    return np.arange(stream.n_evals, dtype=np.int64) - np.repeat(
-        stream.offsets[:-1], stream.labels_per_job
+def _update_jobs(
+    stream: JobStream, temperature_schedule: Dict[int, float]
+) -> np.ndarray:
+    """Ascending indices of the jobs a temperature update precedes."""
+    return np.asarray(
+        sorted(j for j in temperature_schedule if 0 <= j < stream.n_jobs),
+        dtype=np.int64,
     )
 
 
@@ -299,9 +267,9 @@ def _record_trace(machine, stream: JobStream, stats: Dict[str, int], stages) -> 
     is indexed by evaluation.  A RET window is recorded when it opens,
     one event per window cycle.
     """
-    job_of_eval = np.repeat(np.arange(stream.n_jobs), stream.labels_per_job)
-    variables = np.asarray(stream.variable_ids, dtype=np.int64)[job_of_eval]
-    labels = stream.labels_per_job[job_of_eval] - 1 - _eval_index_within_job(stream)
+    n_jobs, per_job = stream.n_jobs, stream.labels
+    variables = np.repeat(np.arange(n_jobs, dtype=np.int64), per_job)
+    labels = np.tile(np.arange(per_job - 1, -1, -1, dtype=np.int64), n_jobs)
     schedule = []
     for stage, cycles in stages:
         if stage == "stall":
@@ -344,36 +312,28 @@ def run_legacy_machine(
     window = machine.window
     stall = legacy_temperature_stall(config, machine._interface_bits)
 
-    issue_start = np.empty(stream.n_jobs, dtype=np.int64)
-    rewrite_cycles: List[int] = []
-    rewrite_temps: List[float] = []
-    cursor = 0
-    for j in range(stream.n_jobs):
-        if j in temperature_schedule:
-            rewrite_cycles.append(cursor)
-            rewrite_temps.append(temperature_schedule[j])
-            cursor += 1 + stall
-        issue_start[j] = cursor
-        cursor += int(stream.labels_per_job[j])
-
-    issue_eval = np.repeat(issue_start, stream.labels_per_job) + _eval_index_within_job(
-        stream
+    labels = stream.labels
+    update_jobs = _update_jobs(stream, temperature_schedule)
+    # Each update issues its command and rewrites the LUT ahead of its
+    # job, pushing that job and every later one back by ``1 + stall``.
+    rewrite_cycles = update_jobs * labels + (1 + stall) * np.arange(update_jobs.size)
+    issue_start = stream.first_evals + (1 + stall) * np.searchsorted(
+        update_jobs, np.arange(stream.n_jobs), side="right"
     )
+    issue_eval = (issue_start[:, None] + np.arange(labels)).reshape(-1)
     convert_cycles = issue_eval + 2
     ret_cycles = issue_eval + 3
     delivery = _delivery_cycles(ret_cycles, window)
-    delivery_last = delivery[stream.offsets[1:] - 1]
+    delivery_last = delivery[labels - 1 :: labels]
 
     # LUT epoch per evaluation: a rewrite at cycle c is visible to
     # conversions at cycles > c (the rewrite happens in the issue step,
     # after that cycle's convert step already ran).
     tables = [machine._lut] + [
-        conversion_lut(temp, config) for temp in rewrite_temps
+        conversion_lut(temperature_schedule[j], config) for j in update_jobs.tolist()
     ]
-    if rewrite_cycles:
-        epoch = np.searchsorted(
-            np.asarray(rewrite_cycles, dtype=np.int64), convert_cycles, side="left"
-        )
+    if update_jobs.size:
+        epoch = np.searchsorted(rewrite_cycles, convert_cycles, side="left")
         stacked = np.stack(tables)
         codes_eval = stacked[epoch, stream.energies_eval]
         machine._lut = tables[-1]  # match the per-cycle machine's end state
@@ -382,14 +342,14 @@ def run_legacy_machine(
 
     stats = {
         "hazard_stalls": 0,
-        "temperature_stalls": stall * len(rewrite_cycles),
+        "temperature_stalls": stall * update_jobs.size,
     }
     result = _finish(
         stream, machine, codes_eval, ret_cycles, delivery_last, issue_start, stats
     )
     if machine._trace is not None:
         # The update command's issue slot, then ``stall`` dead cycles.
-        stall_cycles = np.asarray(rewrite_cycles, dtype=np.int64)[:, None] + np.arange(
+        stall_cycles = rewrite_cycles[:, None] + np.arange(
             1, stall + 1, dtype=np.int64
         )
         _record_trace(
@@ -415,8 +375,8 @@ def run_legacy_machine(
 
 def _scaled_energies(stream: JobStream) -> np.ndarray:
     """Per-evaluation ``energy - min(job energies)`` (the scaling stage)."""
-    mins = np.minimum.reduceat(stream.energies_eval, stream.offsets[:-1])
-    return stream.energies_eval - np.repeat(mins, stream.labels_per_job)
+    rows = stream.energies_eval.reshape(stream.n_jobs, stream.labels)
+    return (rows - rows.min(axis=1, keepdims=True)).reshape(-1)
 
 
 def _new_front_end(stream: JobStream) -> Tuple[np.ndarray, np.ndarray]:
@@ -426,11 +386,10 @@ def _new_front_end(stream: JobStream) -> Tuple[np.ndarray, np.ndarray]:
     A job becomes poppable two cycles after its minimum latches (the
     latch lands in the FIFO-insert step of cycle ``issue(label 0) + 2``,
     and the pop step of a cycle runs before that cycle's insert step):
-    ``avail(j) = first_issue(j) + M_j + 2``.
+    ``avail(j) = first_issue(j) + M + 2``.
     """
-    issue_start = stream.offsets[:-1].copy()
-    avail = issue_start + stream.labels_per_job + 2
-    return issue_start, avail
+    issue_start = stream.first_evals
+    return issue_start, issue_start + stream.labels + 2
 
 
 def _swap_epochs(
@@ -447,27 +406,19 @@ def _swap_epochs(
     the swap cycles and the boundary table active from each swap on
     (index 0 is the pre-run table).
     """
-    update_cycles = sorted(
-        (int(stream.offsets[j]), temperature_schedule[j])
-        for j in temperature_schedule
-        if 0 <= j < stream.n_jobs
-    )
-    tables = [machine._bounds]
-    swap_cycles: List[int] = []
-    shadow = None
-    cursor = 0
-    for j in range(stream.n_jobs):
-        delivery = int(delivery_last[j])
-        while cursor < len(update_cycles) and update_cycles[cursor][0] < delivery:
-            shadow = update_cycles[cursor][1]
-            cursor += 1
-        if shadow is not None:
-            swap_cycles.append(delivery)
-            tables.append(boundary_table(shadow, machine.config))
-            shadow = None
+    update_jobs = _update_jobs(stream, temperature_schedule)
+    # Deliveries are strictly increasing, so each update swaps in at
+    # the first delivery after it; of several updates armed before one
+    # delivery, the latest overwrites the others in the shadow.
+    swap_job = np.searchsorted(delivery_last, update_jobs * stream.labels, side="right")
+    latest = np.append(swap_job[1:] != swap_job[:-1], True)[: swap_job.size]
+    tables = [machine._bounds] + [
+        boundary_table(temperature_schedule[j], machine.config)
+        for j in update_jobs[latest].tolist()
+    ]
     machine._bounds = tables[-1]
     machine._shadow_bounds = None
-    return np.asarray(swap_cycles, dtype=np.int64), tables
+    return delivery_last[swap_job[latest]], tables
 
 
 def _codes_by_epoch(
@@ -509,8 +460,8 @@ def _fifo_stats(
     )
     stats["fifo_max_entries"] = max(0, int(entries.max()))
 
-    first_insert = stream.offsets[:-1] + 2
-    last_pop = pop_cycles[stream.offsets[1:] - 1]
+    first_insert = stream.first_evals + 2
+    last_pop = pop_cycles[stream.labels - 1 :: stream.labels]
     variables = np.arange(1, stream.n_jobs + 1, dtype=np.int64) - np.searchsorted(
         last_pop, first_insert, side="right"
     )
@@ -602,13 +553,15 @@ def run_new_machine(
         # Max-plus closed form: c(i) = i + 1 + max_{k<=i}(avail(k) - k)
         # with avail(k) defined at each job's first evaluation.
         shift = np.full(n, _NEG, dtype=np.int64)
-        shift[stream.offsets[:-1]] = stream.labels_per_job + 2
+        shift[:: stream.labels] = stream.labels + 2
         convert_cycles = (
             np.arange(n, dtype=np.int64) + 1 + np.maximum.accumulate(shift)
         )
         pop_cycles = convert_cycles - 1
         ret_cycles = convert_cycles + 1
-        delivery_last = _delivery_cycles(ret_cycles, window)[stream.offsets[1:] - 1]
+        delivery_last = _delivery_cycles(ret_cycles, window)[
+            stream.labels - 1 :: stream.labels
+        ]
         swap_cycles, tables = _swap_epochs(
             machine, stream, temperature_schedule, delivery_last
         )
@@ -668,15 +621,11 @@ def _stall_policy_walk(
     window = machine.window
     waveguides = machine.waveguides
     n = stream.n_evals
-    last_eval_of_job = stream.offsets[1:] - 1
-    job_of_eval = np.repeat(
-        np.arange(stream.n_jobs, dtype=np.int64), stream.labels_per_job
-    )
-    updates = sorted(
-        (int(stream.offsets[j]), temperature_schedule[j])
-        for j in temperature_schedule
-        if 0 <= j < stream.n_jobs
-    )
+    labels = stream.labels
+    updates = [
+        (j * labels, temperature_schedule[j])
+        for j in _update_jobs(stream, temperature_schedule).tolist()
+    ]
     # Per-epoch scaled-energy -> code table: the boundary comparison
     # depends only on the integer scaled energy, so one small gather
     # table per epoch replaces the per-evaluation comparator walk.
@@ -695,52 +644,56 @@ def _stall_policy_walk(
     delivery_last = np.empty(stream.n_jobs, dtype=np.int64)
     conv_prev = int(_NEG)
     ret_prev = int(_NEG)
-    is_first = np.zeros(n, dtype=bool)
-    is_first[stream.offsets[:-1]] = True
 
-    for i in range(n):
-        job = int(job_of_eval[i])
-        pop = max(conv_prev, int(avail[job])) if is_first[i] else conv_prev
-        convert = max(pop + 1, ret_prev)
-        # Drain deliveries due by the convert cycle: each swaps in the
-        # latest shadow armed strictly before it.
-        while deliveries.peek_cycle() is not None and deliveries.peek_cycle() <= convert:
-            (cycle, _), = deliveries.pop_due(deliveries.peek_cycle())
-            while update_cursor < len(updates) and updates[update_cursor][0] < cycle:
-                shadow = updates[update_cursor][1]
-                update_cursor += 1
-            if shadow is not None:
-                final_bounds = boundary_table(shadow, config)
-                code_lut = boundary_codes(
-                    final_bounds, domain, config.lambda_max_code
-                )
-                shadow = None
-        code = int(code_lut[scaled[i]])
-        attempt = convert + 1
-        if code > 0:
-            conc = code.bit_length() - 1  # int(log2) of a power of two
-            while True:
-                window_index = attempt // window
-                key = (window_index % waveguides, conc)
-                last = network_last_use.get(key)
-                if last == window_index:
-                    skipped = (window_index + 1) * window - attempt
-                    stats["network_conflicts"] += skipped
-                    stats["conflict_stalls"] += skipped
-                    attempt += skipped
-                    continue
-                if last is not None and window_index - last < waveguides:
-                    stats["reuse_violations"] += 1
-                network_last_use[key] = window_index
-                break
-        pop_cycles[i] = pop
-        ret_cycles[i] = attempt
-        codes_eval[i] = code
-        conv_prev, ret_prev = convert, attempt
-        if i == last_eval_of_job[job]:
-            delivered = attempt + (window - 1 if window > 1 else 1)
-            delivery_last[job] = delivered
-            deliveries.push(delivered, job)
+    for job in range(stream.n_jobs):
+        # The job's first label pops once the job is available; each
+        # later label pops after its predecessor converts, which is
+        # already past that.
+        ready = int(avail[job])
+        for i in range(job * labels, (job + 1) * labels):
+            pop = max(conv_prev, ready)
+            convert = max(pop + 1, ret_prev)
+            # Drain deliveries due by the convert cycle: each swaps in the
+            # latest shadow armed strictly before it.
+            while (
+                deliveries.peek_cycle() is not None
+                and deliveries.peek_cycle() <= convert
+            ):
+                (cycle, _), = deliveries.pop_due(deliveries.peek_cycle())
+                while update_cursor < len(updates) and updates[update_cursor][0] < cycle:
+                    shadow = updates[update_cursor][1]
+                    update_cursor += 1
+                if shadow is not None:
+                    final_bounds = boundary_table(shadow, config)
+                    code_lut = boundary_codes(
+                        final_bounds, domain, config.lambda_max_code
+                    )
+                    shadow = None
+            code = int(code_lut[scaled[i]])
+            attempt = convert + 1
+            if code > 0:
+                conc = code.bit_length() - 1  # int(log2) of a power of two
+                while True:
+                    window_index = attempt // window
+                    key = (window_index % waveguides, conc)
+                    last = network_last_use.get(key)
+                    if last == window_index:
+                        skipped = (window_index + 1) * window - attempt
+                        stats["network_conflicts"] += skipped
+                        stats["conflict_stalls"] += skipped
+                        attempt += skipped
+                        continue
+                    if last is not None and window_index - last < waveguides:
+                        stats["reuse_violations"] += 1
+                    network_last_use[key] = window_index
+                    break
+            pop_cycles[i] = pop
+            ret_cycles[i] = attempt
+            codes_eval[i] = code
+            conv_prev, ret_prev = convert, attempt
+        delivered = attempt + (window - 1 if window > 1 else 1)
+        delivery_last[job] = delivered
+        deliveries.push(delivered, job)
 
     machine._bounds = final_bounds
     machine._shadow_bounds = None

@@ -32,8 +32,8 @@ cost); the tests quantify both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -49,51 +49,42 @@ from repro.uarch.trace import PipelineTrace
 from repro.util.errors import ConfigError
 
 
-@dataclass(frozen=True)
-class VariableJob:
-    """One random-variable evaluation: quantized energies per label."""
-
-    variable_id: int
-    energies: np.ndarray  # (M,) int64 quantized energies
-
-    def __post_init__(self):
-        arr = np.asarray(self.energies)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ConfigError("energies must be a non-empty 1-D array")
-
-
 @dataclass
 class MachineResult:
-    """Outcome of a structural simulation run."""
+    """Outcome of a structural simulation run.
 
-    winners: Dict[int, int]
-    winner_cycle: Dict[int, int]
+    ``winners``, ``winner_cycle`` and ``issue_cycle`` are int64 arrays
+    indexed by the input matrix's row: each variable's selected label,
+    the cycle its selection latched, and the cycle its first label
+    issued.  ``stats`` holds integer counters only.
+    """
+
+    winners: np.ndarray
+    winner_cycle: np.ndarray
+    issue_cycle: np.ndarray
     total_cycles: int
-    stats: Dict[str, int] = field(default_factory=dict)
-
-    def latency(self, variable_id: int, issue_cycle: int) -> int:
-        """Inclusive cycle span from first issue to selection."""
-        return self.winner_cycle[variable_id] - issue_cycle + 1
+    stats: Dict[str, int]
 
 
-def jobs_from_energies(quantized: np.ndarray) -> List[VariableJob]:
-    """Wrap an ``(n_vars, M)`` quantized-energy matrix into jobs.
+def _checked_stream(quantized: np.ndarray, config: RSUConfig) -> events.JobStream:
+    """The engine's stream of a ``run_matrix`` input, once it is known
+    to be a non-empty 2-D integer matrix of ``Energy_bits`` energies.
 
-    Rejects empty matrices and non-integer dtypes up front: both used
-    to slip through and only fail (confusingly) deep inside the
-    machines — an empty run loop that never terminates, or float
-    energies silently truncated by the LUT index.
+    Anything else would fail deep inside a machine or, worse, run: a
+    negative energy reads the LUT from its end, and a float one is
+    silently truncated by the table index.
     """
     arr = np.asarray(quantized)
-    if arr.ndim != 2:
-        raise ConfigError(f"expected (n_vars, M), got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ConfigError(f"jobs must be non-empty, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ConfigError(f"expected a non-empty (n_vars, M) matrix, got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ConfigError(
             f"quantized energies must have an integer dtype, got {arr.dtype}"
         )
-    return [VariableJob(i, arr[i]) for i in range(arr.shape[0])]
+    top = 1 << config.energy_bits
+    if arr.min() < 0 or arr.max() >= top:
+        raise ConfigError(f"quantized energies must lie in [0, {top})")
+    return events.stream_from_matrix(arr)
 
 
 class LegacyMachine:
@@ -121,38 +112,18 @@ class LegacyMachine:
         self._lut = conversion_lut(temperature_grid, self.config)
         return legacy_temperature_stall(self.config, self._interface_bits)
 
-    def run(
-        self,
-        jobs: Sequence[VariableJob],
-        temperature_schedule: Optional[Dict[int, float]] = None,
-    ) -> MachineResult:
-        """Execute the jobs; ``temperature_schedule`` maps a job index to
-        a new grid temperature applied (with a pipeline stall) before
-        that job issues."""
-        if not jobs:
-            raise ConfigError("jobs must be non-empty")
-        return events.run_legacy_machine(
-            self, events.stream_from_jobs(jobs), temperature_schedule
-        )
-
     def run_matrix(
         self,
         quantized: np.ndarray,
         temperature_schedule: Optional[Dict[int, float]] = None,
     ) -> MachineResult:
-        """Run an ``(n_vars, M)`` quantized-energy matrix directly.
-
-        The machine-in-the-loop hot path: the event engine consumes the
-        matrix as one flat stream, skipping per-variable
-        :class:`VariableJob` construction entirely.
-        """
+        """Run an ``(n_vars, M)`` quantized-energy matrix, one variable
+        per row; ``temperature_schedule`` maps a row index to a new grid
+        temperature applied (with a pipeline stall) before that row
+        issues."""
         return events.run_legacy_machine(
-            self, events.stream_from_matrix(quantized), temperature_schedule
+            self, _checked_stream(quantized, self.config), temperature_schedule
         )
-
-
-#: Paper-facing name for the Fig. 2b machine.
-PreviousDesignMachine = LegacyMachine
 
 
 class NewMachine:
@@ -185,29 +156,13 @@ class NewMachine:
         self._shadow_bounds = boundary_table(temperature_grid, self.config)
         return 0
 
-    def run(
-        self,
-        jobs: Sequence[VariableJob],
-        temperature_schedule: Optional[Dict[int, float]] = None,
-    ) -> MachineResult:
-        """Execute the jobs through the decoupled pipeline."""
-        if not jobs:
-            raise ConfigError("jobs must be non-empty")
-        return events.run_new_machine(
-            self, events.stream_from_jobs(jobs), temperature_schedule
-        )
-
     def run_matrix(
         self,
         quantized: np.ndarray,
         temperature_schedule: Optional[Dict[int, float]] = None,
     ) -> MachineResult:
-        """Run an ``(n_vars, M)`` quantized-energy matrix directly (see
-        :meth:`LegacyMachine.run_matrix`)."""
+        """Run an ``(n_vars, M)`` quantized-energy matrix through the
+        decoupled pipeline (see :meth:`LegacyMachine.run_matrix`)."""
         return events.run_new_machine(
-            self, events.stream_from_matrix(quantized), temperature_schedule
+            self, _checked_stream(quantized, self.config), temperature_schedule
         )
-
-
-#: Paper-facing name for the Fig. 10/11 machine.
-NewDesignMachine = NewMachine

@@ -55,7 +55,6 @@ from repro.uarch import (
     LegacyMachine,
     MachineBackend,
     MachineResult,
-    jobs_from_energies,
 )
 
 # ---------------------------------------------------------------------------
@@ -356,20 +355,33 @@ def _trace_stats(machine, stats):
         stats["trace_dropped"] = machine._trace.dropped
 
 
-def run_legacy_per_cycle(machine, jobs, temperature_schedule=None):
-    """``LegacyMachine.run`` stepping every latch, every cycle."""
+def _machine_result(n_vars, winners, winner_cycle, issue_cycle_of, cycles, stats):
+    """The per-variable dicts of a per-cycle run as a ``MachineResult``."""
+
+    def by_row(values):
+        return np.array([values[v] for v in range(n_vars)], dtype=np.int64)
+
+    return MachineResult(
+        by_row(winners), by_row(winner_cycle), by_row(issue_cycle_of), cycles, stats
+    )
+
+
+def run_legacy_per_cycle(machine, quantized, temperature_schedule=None):
+    """``LegacyMachine.run_matrix`` stepping every latch, every cycle."""
     temperature_schedule = temperature_schedule or {}
+    quantized = np.asarray(quantized)
+    n_vars = len(quantized)
     trace = machine._trace
     ttf_sampler = TTFSampler(machine.config, machine._rng)
     selection = _SelectionTracker(machine.config.tie_policy, machine._rng)
     issue_queue = deque()
     issue_cycle_of = {}
-    for index, job in enumerate(jobs):
-        selection.expect(job.variable_id, len(job.energies))
-        if index in temperature_schedule:
-            issue_queue.append(("stall", index))
-        for label in range(len(job.energies) - 1, -1, -1):
-            issue_queue.append((job, label))
+    for variable_id, energies in enumerate(quantized):
+        selection.expect(variable_id, len(energies))
+        if variable_id in temperature_schedule:
+            issue_queue.append(("stall", variable_id))
+        for label in range(len(energies) - 1, -1, -1):
+            issue_queue.append((variable_id, label))
 
     issue_latch = None  # (var, label, quantized energy)
     energy_latch = None  # (var, label, quantized energy)
@@ -381,7 +393,7 @@ def run_legacy_per_cycle(machine, jobs, temperature_schedule=None):
     stats = {"hazard_stalls": 0, "temperature_stalls": 0}
     stall_remaining = 0
     cycle = 0
-    while len(winners) < len(jobs):
+    while len(winners) < n_vars:
         # 1. RET completions feed selection (a window of one cycle
         # completes in the scheduling cycle itself; its result is
         # latched into selection on the next cycle, hence <=).
@@ -438,16 +450,15 @@ def run_legacy_per_cycle(machine, jobs, temperature_schedule=None):
                     temperature_schedule[head[1]]
                 )
             else:
-                job, label = issue_queue.popleft()
-                if label == len(job.energies) - 1:
-                    issue_cycle_of[job.variable_id] = cycle
-                issue_latch = (job.variable_id, label, int(job.energies[label]))
+                variable_id, label = issue_queue.popleft()
+                if label == quantized.shape[1] - 1:
+                    issue_cycle_of[variable_id] = cycle
+                issue_latch = (variable_id, label, int(quantized[variable_id, label]))
                 if trace is not None:
-                    trace.record(cycle, "issue", job.variable_id, label)
+                    trace.record(cycle, "issue", variable_id, label)
         cycle += 1
     _trace_stats(machine, stats)
-    stats["issue_cycles"] = issue_cycle_of
-    return MachineResult(winners, winner_cycle, cycle, stats)
+    return _machine_result(n_vars, winners, winner_cycle, issue_cycle_of, cycle, stats)
 
 
 def comparator_code(bounds, scaled_energy, lambda_max_code):
@@ -460,14 +471,16 @@ def comparator_code(bounds, scaled_energy, lambda_max_code):
     return 0
 
 
-def run_new_per_cycle(machine, jobs, temperature_schedule=None):
-    """``NewMachine.run`` stepping every latch, every cycle."""
+def run_new_per_cycle(machine, quantized, temperature_schedule=None):
+    """``NewMachine.run_matrix`` stepping every latch, every cycle."""
     temperature_schedule = temperature_schedule or {}
+    quantized = np.asarray(quantized)
+    n_vars = len(quantized)
     trace = machine._trace
     ttf_sampler = TTFSampler(machine.config, machine._rng)
     selection = _SelectionTracker(machine.config.tie_policy, machine._rng)
-    for job in jobs:
-        selection.expect(job.variable_id, len(job.energies))
+    for variable_id, energies in enumerate(quantized):
+        selection.expect(variable_id, len(energies))
     window, waveguides = machine.window, machine.waveguides
 
     # Front-end state.
@@ -498,7 +511,7 @@ def run_new_per_cycle(machine, jobs, temperature_schedule=None):
         "temperature_stalls": 0,
     }
     cycle = 0
-    while len(winners) < len(jobs):
+    while len(winners) < n_vars:
         window_index = cycle // window
         active_waveguide = window_index % waveguides
         # 1. Completions feed selection (<= drains the window-of-one
@@ -584,16 +597,16 @@ def run_new_per_cycle(machine, jobs, temperature_schedule=None):
                 trace.record(cycle, "energy", issue_latch[0], issue_latch[1])
             issue_latch = None
         # 7. Issue stage: label decrement over the current job.
-        if issue_latch is None and job_index < len(jobs):
-            job = jobs[job_index]
+        if issue_latch is None and job_index < n_vars:
+            energies = quantized[job_index]
             if label_index is None:
                 if job_index in temperature_schedule:
                     machine.update_temperature(temperature_schedule[job_index])
-                label_index = len(job.energies) - 1
-                issue_cycle_of[job.variable_id] = cycle
-            issue_latch = (job.variable_id, label_index, int(job.energies[label_index]))
+                label_index = len(energies) - 1
+                issue_cycle_of[job_index] = cycle
+            issue_latch = (job_index, label_index, int(energies[label_index]))
             if trace is not None:
-                trace.record(cycle, "issue", job.variable_id, label_index)
+                trace.record(cycle, "issue", job_index, label_index)
             if label_index == 0:
                 job_index += 1
                 label_index = None
@@ -601,26 +614,19 @@ def run_new_per_cycle(machine, jobs, temperature_schedule=None):
                 label_index -= 1
         cycle += 1
     _trace_stats(machine, stats)
-    stats["issue_cycles"] = issue_cycle_of
-    return MachineResult(winners, winner_cycle, cycle, stats)
+    return _machine_result(n_vars, winners, winner_cycle, issue_cycle_of, cycle, stats)
 
 
-def run_per_cycle(machine, jobs, temperature_schedule=None):
-    """Run ``jobs`` on ``machine``'s per-cycle reference loop."""
+def run_per_cycle(machine, quantized, temperature_schedule=None):
+    """Run an ``(n_vars, M)`` matrix on ``machine``'s per-cycle reference loop."""
     if isinstance(machine, LegacyMachine):
-        return run_legacy_per_cycle(machine, jobs, temperature_schedule)
-    return run_new_per_cycle(machine, jobs, temperature_schedule)
-
-
-def run_matrix_per_cycle(machine, quantized, temperature_schedule=None):
-    """``run_matrix`` on the per-cycle reference loop."""
-    return run_per_cycle(machine, jobs_from_energies(quantized), temperature_schedule)
+        return run_legacy_per_cycle(machine, quantized, temperature_schedule)
+    return run_new_per_cycle(machine, quantized, temperature_schedule)
 
 
 def scalar_machine(machine):
-    """Route ``machine.run``/``run_matrix`` through its per-cycle loop."""
-    machine.run = functools.partial(run_per_cycle, machine)
-    machine.run_matrix = functools.partial(run_matrix_per_cycle, machine)
+    """Route ``machine.run_matrix`` through its per-cycle loop."""
+    machine.run_matrix = functools.partial(run_per_cycle, machine)
     return machine
 
 

@@ -11,11 +11,9 @@ from repro.obs.exporters import (
     derived_metrics,
     load_trace,
     parse_jsonl,
-    prometheus_name,
     render_report,
     telemetry_from_events,
     to_jsonl,
-    to_prometheus,
     write_jsonl,
 )
 from repro.obs.telemetry import (
@@ -259,25 +257,6 @@ class TestJsonlTrace:
         gauge_records = [r for r in records if r["type"] == "gauge"]
         assert gauge_records == [{"type": "gauge", "name": "never.set", "value": None}]
         assert math.isnan(telemetry_from_events(records).gauge("never.set").value)
-
-
-class TestPrometheus:
-    def test_name_sanitization(self):
-        assert prometheus_name("solver.flips") == "repro_solver_flips"
-        assert prometheus_name("9lives") == "repro__9lives"
-
-    def test_exposition_format(self):
-        text = to_prometheus(_sample_telemetry())
-        assert "# TYPE repro_solver_flips counter" in text
-        assert "repro_solver_flips 30" in text
-        assert "# TYPE repro_solver_temperature gauge" in text
-        assert "repro_engine_task_seconds_count 1" in text
-        assert "repro_engine_task_seconds_sum 0.5" in text
-
-    def test_unset_gauge_is_skipped(self):
-        tel = Telemetry()
-        tel.gauge("never.set")
-        assert "never_set" not in to_prometheus(tel)
 
 
 class TestReport:

@@ -34,13 +34,7 @@ from repro.mrf import (
     geometric_ladder,
 )
 from repro.rng import LFSR, MT19937
-from repro.uarch import (
-    CycleCountingBackend,
-    LegacyMachine,
-    NewMachine,
-    PipelineTrace,
-    jobs_from_energies,
-)
+from repro.uarch import CycleCountingBackend, LegacyMachine, NewMachine, PipelineTrace
 
 FULL_SCALE = 12.0
 ITERATIONS = 6
@@ -203,21 +197,21 @@ def machine_backend_case(policy):
 
 
 def machine_result_parts(result, rng):
+    """The parts the digests were recorded from, when results held
+    ``{variable: value}`` dicts and ``stats["issue_cycles"]``."""
+    issue_cycles = list(enumerate(result.issue_cycle.tolist()))
     return [
-        sorted(result.winners.items()),
-        sorted(result.winner_cycle.items()),
+        list(enumerate(result.winners.tolist())),
+        list(enumerate(result.winner_cycle.tolist())),
         result.total_cycles,
-        sorted((key, value if isinstance(value, int) else sorted(value.items()))
-               for key, value in result.stats.items()),
+        sorted([*result.stats.items(), ("issue_cycles", issue_cycles)]),
         rng.bit_generator.state,
     ]
 
 
 def machine_case(design, traced=False, float_time=False):
     def run():
-        jobs = jobs_from_energies(
-            np.random.default_rng(0).integers(0, 256, (12, 6))
-        )
+        quantized = np.random.default_rng(0).integers(0, 256, (12, 6))
         rng = np.random.default_rng(1)
         trace = PipelineTrace(max_events=64) if traced else None
         if design == "legacy":
@@ -226,7 +220,7 @@ def machine_case(design, traced=False, float_time=False):
         else:
             config = new_design_config(float_time=float_time)
             machine = NewMachine(config, 40.0, rng, trace=trace)
-        parts = machine_result_parts(machine.run(jobs, {5: 20.0}), rng)
+        parts = machine_result_parts(machine.run_matrix(quantized, {5: 20.0}), rng)
         if trace is not None:
             parts.append([(e.cycle, e.stage, e.variable, e.label)
                           for e in trace.events])

@@ -2,10 +2,10 @@
 
 The contract of :mod:`repro.uarch.events` is *exactness*: the batched
 event path must return the same :class:`MachineResult` — winners, winner
-cycles, total cycles, stats — as the per-cycle scalar machine (reached
-through ``tests/oracles.py``), and leave
+cycles, issue cycles, total cycles, stats — as the per-cycle scalar
+machine (reached through ``tests/oracles.py``), and leave
 the shared RNG in the identical final state, across designs, conflict
-policies, window lengths, label counts and temperature schedules.
+policies, window lengths, matrix shapes and temperature schedules.
 """
 
 import tracemalloc
@@ -21,12 +21,8 @@ from repro.uarch import (
     EventQueue,
     LegacyMachine,
     MachineBackend,
-    NewDesignMachine,
     NewMachine,
     PipelineTrace,
-    PreviousDesignMachine,
-    VariableJob,
-    jobs_from_energies,
 )
 from repro.util import ConfigError
 from tests.oracles import ScalarCycleCountingBackend, ScalarMachineBackend, scalar_machine
@@ -48,8 +44,10 @@ def build_pair(design, policy, time_bits, tie_policy, seed):
 
 
 def assert_identical(result_scalar, result_event):
-    assert result_event.winners == result_scalar.winners
-    assert result_event.winner_cycle == result_scalar.winner_cycle
+    for field in ("winners", "winner_cycle", "issue_cycle"):
+        expected, actual = getattr(result_scalar, field), getattr(result_event, field)
+        assert actual.dtype == expected.dtype == np.int64
+        assert np.array_equal(actual, expected)
     assert result_event.total_cycles == result_scalar.total_cycles
     assert result_event.stats == result_scalar.stats
 
@@ -64,15 +62,13 @@ class TestCycleIdentityMatrix:
     @pytest.mark.parametrize("with_updates", [False, True])
     def test_matrix(self, design, policy, time_bits, labels, with_updates):
         schedule = {0: 20.0, 2: 60.0, 5: 30.0} if with_updates else {}
-        jobs = jobs_from_energies(
-            np.random.default_rng(17).integers(0, 256, (6, labels))
-        )
+        quantized = np.random.default_rng(17).integers(0, 256, (6, labels))
         scalar, event, rng_scalar, rng_event = build_pair(
             design, policy, time_bits, "random", seed=11
         )
         assert_identical(
-            scalar.run(jobs, temperature_schedule=schedule),
-            event.run(jobs, temperature_schedule=schedule),
+            scalar.run_matrix(quantized, temperature_schedule=schedule),
+            event.run_matrix(quantized, temperature_schedule=schedule),
         )
         # The engines consumed the identical entropy stream: the two
         # generators are in the same state bit for bit.
@@ -81,63 +77,62 @@ class TestCycleIdentityMatrix:
     @pytest.mark.parametrize("tie_policy", ["first", "last", "random"])
     def test_tie_policies(self, tie_policy):
         # Equal energies force ties in every variable.
-        jobs = jobs_from_energies(np.full((5, 4), 7, dtype=np.int64))
+        quantized = np.full((5, 4), 7, dtype=np.int64)
         scalar, event, rng_scalar, rng_event = build_pair(
             "new", "count", 5, tie_policy, seed=3
         )
-        assert_identical(scalar.run(jobs), event.run(jobs))
+        assert_identical(scalar.run_matrix(quantized), event.run_matrix(quantized))
         assert rng_scalar.bit_generator.state == rng_event.bit_generator.state
 
     @pytest.mark.parametrize(
         "design,policy",
         [("legacy", None), ("new", "count"), ("new", "stall")],
     )
-    def test_mixed_label_counts_and_single_job(self, design, policy):
-        rng = np.random.default_rng(7)
-        mixed = [
-            VariableJob(i, rng.integers(0, 256, m))
-            for i, m in enumerate([3, 1, 16, 2, 5])
-        ]
-        single = [VariableJob(0, np.array([4, 200]))]
-        for jobs in (mixed, single):
+    def test_single_row_and_single_label(self, design, policy):
+        single_row = np.array([[4, 200]])  # the update lands past the run
+        single_label = np.random.default_rng(7).integers(0, 256, (5, 1))
+        for quantized in (single_row, single_label):
             scalar, event, rng_scalar, rng_event = build_pair(
                 design, policy, 5, "random", seed=5
             )
             assert_identical(
-                scalar.run(jobs, temperature_schedule={1: 25.0}),
-                event.run(jobs, temperature_schedule={1: 25.0}),
+                scalar.run_matrix(quantized, temperature_schedule={1: 25.0}),
+                event.run_matrix(quantized, temperature_schedule={1: 25.0}),
             )
             assert rng_scalar.bit_generator.state == rng_event.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "design,policy",
+        [("legacy", None), ("new", "count"), ("new", "stall")],
+    )
+    def test_updates_outside_the_rows_are_ignored(self, design, policy):
+        quantized = np.random.default_rng(3).integers(0, 256, (4, 3))
+        schedule = {-1: 20.0, 1: 60.0, 4: 30.0}
+        scalar, event, rng_scalar, rng_event = build_pair(
+            design, policy, 5, "random", seed=2
+        )
+        result = event.run_matrix(quantized, temperature_schedule=schedule)
+        assert_identical(
+            scalar.run_matrix(quantized, temperature_schedule=schedule), result
+        )
+        assert rng_scalar.bit_generator.state == rng_event.bit_generator.state
+        _, reference, _, _ = build_pair(design, policy, 5, "random", seed=2)
+        assert_identical(reference.run_matrix(quantized, {1: 60.0}), result)
 
     def test_end_state_tables_match(self):
         """After a run with updates, both paths leave the machine with
         the same live conversion tables (the next run's starting state)."""
-        jobs = jobs_from_energies(
-            np.random.default_rng(0).integers(0, 256, (4, 3))
-        )
+        quantized = np.random.default_rng(0).integers(0, 256, (4, 3))
         scalar, event, _, _ = build_pair("legacy", None, 5, "random", seed=1)
-        scalar.run(jobs, temperature_schedule={2: 20.0})
-        event.run(jobs, temperature_schedule={2: 20.0})
+        scalar.run_matrix(quantized, temperature_schedule={2: 20.0})
+        event.run_matrix(quantized, temperature_schedule={2: 20.0})
         assert np.array_equal(scalar._lut, event._lut)
 
         scalar, event, _, _ = build_pair("new", "count", 5, "random", seed=1)
-        scalar.run(jobs, temperature_schedule={2: 20.0})
-        event.run(jobs, temperature_schedule={2: 20.0})
+        scalar.run_matrix(quantized, temperature_schedule={2: 20.0})
+        event.run_matrix(quantized, temperature_schedule={2: 20.0})
         assert np.array_equal(scalar._bounds, event._bounds)
         assert scalar._shadow_bounds is None and event._shadow_bounds is None
-
-    def test_run_matrix_equals_run(self):
-        quantized = np.random.default_rng(2).integers(0, 256, (8, 6))
-        a, b = np.random.default_rng(9), np.random.default_rng(9)
-        config = new_design_config()
-        via_jobs = NewMachine(config, 40.0, a).run(jobs_from_energies(quantized))
-        via_matrix = NewMachine(config, 40.0, b).run_matrix(quantized)
-        assert_identical(via_jobs, via_matrix)
-        assert a.bit_generator.state == b.bit_generator.state
-
-    def test_paper_facing_aliases(self):
-        assert PreviousDesignMachine is LegacyMachine
-        assert NewDesignMachine is NewMachine
 
 
 class TestMachineInTheLoop:
@@ -271,26 +266,71 @@ class TestTraceRingBuffer:
             assert trace_bytes == 0
 
 
+def both_machines(energy_bits=8):
+    return [
+        LegacyMachine(
+            legacy_design_config(energy_bits=energy_bits), 40.0, np.random.default_rng(0)
+        ),
+        NewMachine(
+            new_design_config(energy_bits=energy_bits), 40.0, np.random.default_rng(0)
+        ),
+    ]
+
+
 class TestJobsFromEnergiesValidation:
+    """The energy matrix a run builds its jobs from is checked once, by
+    ``run_matrix``, on both machines."""
+
     def test_accepts_integer_matrix(self):
-        jobs = jobs_from_energies(np.arange(6, dtype=np.int64).reshape(2, 3))
-        assert len(jobs) == 2
+        for machine in both_machines():
+            for dtype in (np.int64, np.uint8, np.int16):
+                quantized = np.array([[0, 5, 255], [9, 128, 1]], dtype=dtype)
+                assert machine.run_matrix(quantized).winners.shape == (2,)
 
     def test_rejects_empty_job_list(self):
-        with pytest.raises(ConfigError, match="non-empty"):
-            jobs_from_energies(np.empty((0, 4), dtype=np.int64))
+        for machine in both_machines():
+            with pytest.raises(ConfigError, match="non-empty"):
+                machine.run_matrix(np.empty((0, 4), dtype=np.int64))
 
     def test_rejects_zero_label_jobs(self):
-        with pytest.raises(ConfigError, match="non-empty"):
-            jobs_from_energies(np.empty((4, 0), dtype=np.int64))
+        for machine in both_machines():
+            with pytest.raises(ConfigError, match="non-empty"):
+                machine.run_matrix(np.empty((4, 0), dtype=np.int64))
 
     def test_rejects_float_dtype(self):
-        with pytest.raises(ConfigError, match="integer dtype"):
-            jobs_from_energies(np.ones((2, 3)))
+        # Float energies used to be truncated silently.
+        for machine in both_machines():
+            with pytest.raises(ConfigError, match="integer dtype"):
+                machine.run_matrix(np.ones((2, 3)))
+
+    def test_rejects_bool_dtype(self):
+        for machine in both_machines():
+            with pytest.raises(ConfigError, match="integer dtype"):
+                machine.run_matrix(np.ones((2, 3), dtype=bool))
 
     def test_rejects_wrong_ndim(self):
-        with pytest.raises(ConfigError):
-            jobs_from_energies(np.arange(4, dtype=np.int64))
+        for machine in both_machines():
+            for quantized in (np.arange(4), np.zeros((2, 2, 2), dtype=np.int64)):
+                with pytest.raises(ConfigError):
+                    machine.run_matrix(quantized)
+
+    def test_rejects_negative_energy(self):
+        # A negative energy used to read the legacy LUT from its far end.
+        for machine in both_machines():
+            with pytest.raises(ConfigError, match=r"\[0, 256\)"):
+                machine.run_matrix(np.array([[-1, 5, 9]]))
+
+    def test_rejects_energy_past_the_grid(self):
+        # 256 used to raise a bare IndexError from the 256-entry LUT.
+        for machine in both_machines():
+            with pytest.raises(ConfigError, match=r"\[0, 256\)"):
+                machine.run_matrix(np.array([[0, 256, 9]]))
+
+    def test_grid_follows_energy_bits(self):
+        for machine in both_machines(energy_bits=4):
+            machine.run_matrix(np.array([[0, 15]]))
+            with pytest.raises(ConfigError, match=r"\[0, 16\)"):
+                machine.run_matrix(np.array([[0, 16]]))
 
 
 class TestEventQueue:

@@ -11,7 +11,7 @@ import repro.uarch.trace as trace_module
 from repro.core import legacy_design_config, new_design_config
 from repro.core.convert import boundary_codes, boundary_table
 from repro.core.pipeline import sampling_window_cycles
-from repro.uarch import LegacyMachine, NewMachine, VariableJob, jobs_from_energies
+from repro.uarch import LegacyMachine, NewMachine
 from repro.uarch.trace import STAGE_LETTERS, PipelineTrace
 from repro.util import ConfigError
 from tests.oracles import run_per_cycle
@@ -29,11 +29,10 @@ def fixture_energies(n_vars=2, labels=4, seed=0):
 
 def traced_new_run(n_vars=2, labels=4, seed=0):
     trace = PipelineTrace()
-    jobs = jobs_from_energies(fixture_energies(n_vars, labels, seed))
     machine = NewMachine(
         new_design_config(), 40.0, np.random.default_rng(seed + 1), trace=trace
     )
-    result = machine.run(jobs)
+    result = machine.run_matrix(fixture_energies(n_vars, labels, seed))
     return trace, result
 
 
@@ -55,7 +54,7 @@ class TestRecording:
             for required in ("issue", "energy", "fifo", "scale", "convert", "select"):
                 assert required in stages
             assert stages.count("ret") == sampling_window_cycles(config)
-        for variable, winner in result.winners.items():
+        for variable, winner in enumerate(result.winners):
             assert codes[variable, winner] > 0
 
     def test_stage_order_monotone_in_cycles(self):
@@ -68,13 +67,11 @@ class TestRecording:
 
     def test_legacy_trace_records_stalls(self):
         trace = PipelineTrace()
-        jobs = jobs_from_energies(
-            np.random.default_rng(0).integers(0, 256, (3, 4))
-        )
+        quantized = np.random.default_rng(0).integers(0, 256, (3, 4))
         machine = LegacyMachine(
             legacy_design_config(), 40.0, np.random.default_rng(1), trace=trace
         )
-        machine.run(jobs, temperature_schedule={1: 20.0})
+        machine.run_matrix(quantized, temperature_schedule={1: 20.0})
         stalls = [e for e in trace.events if e.stage == "stall"]
         assert len(stalls) == 128
 
@@ -147,24 +144,20 @@ class TestWindowedTrace:
 
     def test_traced_run_counts_drops_in_stats(self):
         trace = PipelineTrace(max_events=8)
-        jobs = jobs_from_energies(
-            np.random.default_rng(0).integers(0, 256, (3, 4))
-        )
+        quantized = np.random.default_rng(0).integers(0, 256, (3, 4))
         machine = NewMachine(
             new_design_config(), 40.0, np.random.default_rng(1), trace=trace
         )
-        result = machine.run(jobs)
+        result = machine.run_matrix(quantized)
         assert result.stats["trace_dropped"] == trace.dropped > 0
         assert result.stats["trace_events"] == 8
 
     def test_untraced_run_has_no_trace_stats(self):
         """The event-vs-scalar stats identity must not change: untraced
         runs (the event path) carry no trace keys."""
-        jobs = jobs_from_energies(
-            np.random.default_rng(0).integers(0, 256, (2, 4))
-        )
+        quantized = np.random.default_rng(0).integers(0, 256, (2, 4))
         machine = NewMachine(new_design_config(), 40.0, np.random.default_rng(1))
-        result = machine.run(jobs)
+        result = machine.run_matrix(quantized)
         assert "trace_events" not in result.stats
         assert "trace_dropped" not in result.stats
 
@@ -190,17 +183,17 @@ def event_tuples(trace):
     return [(e.cycle, e.stage, e.variable, e.label) for e in trace.events]
 
 
-def traced_pair(design, jobs, runs=({},), max_events=100_000, **config):
-    """Event-engine and per-cycle runs of ``jobs``, each into one trace."""
+def traced_pair(design, quantized, runs=({},), max_events=100_000, **config):
+    """Event-engine and per-cycle runs of ``quantized``, each into one trace."""
     outcomes = []
     for engine in ("event", "per-cycle"):
         rng = np.random.default_rng(23)
         trace = PipelineTrace(max_events=max_events)
         machine = make_machine(design, rng, trace, **config)
         results = [
-            machine.run(jobs, schedule)
+            machine.run_matrix(quantized, schedule)
             if engine == "event"
-            else run_per_cycle(machine, jobs, schedule)
+            else run_per_cycle(machine, quantized, schedule)
             for schedule in runs
         ]
         outcomes.append((results, trace, rng))
@@ -208,8 +201,9 @@ def traced_pair(design, jobs, runs=({},), max_events=100_000, **config):
 
 
 def assert_same_results(result, reference):
-    assert result.winners == reference.winners
-    assert result.winner_cycle == reference.winner_cycle
+    assert np.array_equal(result.winners, reference.winners)
+    assert np.array_equal(result.winner_cycle, reference.winner_cycle)
+    assert np.array_equal(result.issue_cycle, reference.issue_cycle)
     assert result.total_cycles == reference.total_cycles
     assert result.stats == reference.stats
 
@@ -228,12 +222,12 @@ class TestTracedEventEngineMatchesPerCycle:
     @pytest.mark.parametrize("max_events", [5, 64, 100_000])
     @pytest.mark.parametrize("float_time", [False, True])
     def test_matrix(self, design, time_bits, tie, with_updates, max_events, float_time):
-        jobs = jobs_from_energies(np.random.default_rng(31).integers(0, 256, (8, 6)))
+        quantized = np.random.default_rng(31).integers(0, 256, (8, 6))
         schedule = {0: 20.0, 3: 60.0, 6: 30.0} if with_updates else {}
         (event, event_trace, event_rng), (oracle, oracle_trace, oracle_rng) = (
             traced_pair(
                 design,
-                jobs,
+                quantized,
                 (schedule,),
                 max_events,
                 time_bits=time_bits,
@@ -247,17 +241,16 @@ class TestTracedEventEngineMatchesPerCycle:
         assert event_rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_matrix_exercises_conflict_stalls(self):
-        jobs = jobs_from_energies(np.random.default_rng(31).integers(0, 256, (8, 6)))
-        (event, _, _), _ = traced_pair("stall", jobs)
+        quantized = np.random.default_rng(31).integers(0, 256, (8, 6))
+        (event, _, _), _ = traced_pair("stall", quantized)
         assert event[0].stats["conflict_stalls"] > 0
 
     @pytest.mark.parametrize("design", DESIGNS)
     @pytest.mark.parametrize("max_events", [40, 100_000])
     def test_two_runs_into_one_trace(self, design, max_events):
-        rng = np.random.default_rng(4)
-        jobs = [VariableJob(i, rng.integers(0, 256, m)) for i, m in enumerate([3, 1, 7, 2])]
+        quantized = np.random.default_rng(4).integers(0, 256, (4, 3))
         (event, event_trace, _), (oracle, oracle_trace, _) = traced_pair(
-            design, jobs, ({1: 25.0}, {2: 50.0}), max_events
+            design, quantized, ({1: 25.0}, {2: 50.0}), max_events
         )
         for result, reference in zip(event, oracle):
             assert_same_results(result, reference)
