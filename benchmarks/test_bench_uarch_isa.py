@@ -3,6 +3,7 @@
 import time
 
 import numpy as np
+import pytest
 from conftest import run_once
 
 from repro.core import legacy_design_config, new_design_config
@@ -88,10 +89,11 @@ def test_bench_interface_traffic(benchmark, bench_profile):
     assert new_traffic["stall_cycles"] == 0
 
 
-def test_event_engine_beats_per_cycle_machines():
+@pytest.mark.parametrize("conflict_policy", ["count", "stall"])
+def test_event_engine_beats_per_cycle_machines(conflict_policy):
     """A machine-in-the-loop stereo solve (every Gibbs batch through
-    ``NewMachine``): the event-driven engine is cycle-identical to the
-    per-cycle machines and at least 5x faster."""
+    ``NewMachine``): under either conflict policy the event-driven engine
+    is cycle-identical to the per-cycle machines and at least 5x faster."""
     from repro.apps.stereo import StereoParams, build_stereo_mrf
     from repro.data import load_stereo
     from repro.mrf import MCMCSolver, geometric_for_span
@@ -102,7 +104,10 @@ def test_event_engine_beats_per_cycle_machines():
 
     def solve(backend_cls):
         backend = backend_cls(
-            new_design_config(), model.max_energy(), np.random.default_rng(5)
+            new_design_config(),
+            model.max_energy(),
+            np.random.default_rng(5),
+            conflict_policy=conflict_policy,
         )
         started = time.perf_counter()
         labels = MCMCSolver(

@@ -37,7 +37,6 @@ TTFs; the per-cycle loop itself is the tests' reference
 
 from repro.uarch.backend import CycleCountingBackend, MachineBackend
 from repro.uarch.events import (
-    EventQueue,
     JobStream,
     stream_from_matrix,
     ttf_bins_from_uniforms,
@@ -54,7 +53,6 @@ __all__ = [
     "TraceEvent",
     "CycleCountingBackend",
     "MachineBackend",
-    "EventQueue",
     "JobStream",
     "stream_from_matrix",
     "ttf_bins_from_uniforms",

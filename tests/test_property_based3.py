@@ -14,6 +14,7 @@ from repro.isa import (
     encode_stream,
 )
 from repro.uarch import LegacyMachine, NewMachine
+from tests.oracles import run_per_cycle
 
 # ---------------------------------------------------------------------------
 # ISA round trips
@@ -102,3 +103,41 @@ def test_legacy_machine_matches_paper_formula_any_window(workload):
     fill = legacy_variable_latency(labels, config) - labels
     assert result.total_cycles == fill + labels * len(jobs)
     assert result.stats["hazard_stalls"] == 0
+
+
+@st.composite
+def stall_workloads(draw):
+    time_bits = draw(st.integers(3, 8))
+    tie_policy = draw(st.sampled_from(["first", "last", "random"]))
+    n_vars = draw(st.integers(1, 6))
+    labels = draw(st.integers(1, 8))
+    # A narrow energy range makes equal codes, and so conflicts, common.
+    high = draw(st.sampled_from([1, 4, 32, 256]))
+    seed = draw(st.integers(0, 2**16))
+    energies = np.random.default_rng(seed).integers(0, high, (n_vars, labels))
+    # Rows -2..n_vars+1: updates outside the matrix must be ignored.
+    schedule = draw(
+        st.dictionaries(
+            st.integers(-2, n_vars + 1), st.floats(2.0, 100.0), max_size=n_vars + 2
+        )
+    )
+    return time_bits, tie_policy, energies, schedule, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(stall_workloads())
+def test_stall_policy_matches_per_cycle_machine(workload):
+    time_bits, tie_policy, energies, schedule, seed = workload
+    config = new_design_config(time_bits=time_bits, tie_policy=tie_policy)
+    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    machines = [
+        NewMachine(config, 40.0, rng, conflict_policy="stall") for rng in rngs
+    ]
+    expected = run_per_cycle(machines[0], energies, schedule)
+    actual = machines[1].run_matrix(energies, temperature_schedule=schedule)
+    for field in ("winners", "winner_cycle", "issue_cycle"):
+        assert np.array_equal(getattr(actual, field), getattr(expected, field))
+    assert actual.total_cycles == expected.total_cycles
+    assert actual.stats == expected.stats
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert np.array_equal(machines[0]._bounds, machines[1]._bounds)

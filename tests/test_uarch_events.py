@@ -18,7 +18,6 @@ from repro.core import legacy_design_config, new_design_config
 from repro.core.pipeline import simulate, simulate_measured
 from repro.uarch import (
     CycleCountingBackend,
-    EventQueue,
     LegacyMachine,
     MachineBackend,
     NewMachine,
@@ -128,11 +127,51 @@ class TestCycleIdentityMatrix:
         event.run_matrix(quantized, temperature_schedule={2: 20.0})
         assert np.array_equal(scalar._lut, event._lut)
 
-        scalar, event, _, _ = build_pair("new", "count", 5, "random", seed=1)
-        scalar.run_matrix(quantized, temperature_schedule={2: 20.0})
-        event.run_matrix(quantized, temperature_schedule={2: 20.0})
+        # The single row's update swaps in at its own delivery, after the
+        # last convert: only the end state sees it.
+        single_row = np.array([[4, 200, 9]])
+        for policy in ("count", "stall"):
+            for rows, schedule in ((quantized, {2: 20.0}), (single_row, {0: 20.0})):
+                scalar, event, _, _ = build_pair("new", policy, 5, "random", seed=1)
+                scalar.run_matrix(rows, temperature_schedule=schedule)
+                event.run_matrix(rows, temperature_schedule=schedule)
+                assert np.array_equal(scalar._bounds, event._bounds)
+                assert scalar._shadow_bounds is None
+                assert event._shadow_bounds is None
+
+    @pytest.mark.parametrize("time_bits", [3, 5, 8])
+    @pytest.mark.parametrize(
+        "case",
+        ["equal_energies", "all_cut_off", "cut_off_then_update", "update_every_job"],
+    )
+    def test_stall_policy_extremes(self, time_bits, case):
+        """The stall walk at its extremes: one code per row (every issue
+        of a window collides), no active lane at all, and a boundary swap
+        after every job (one repair pass per swap)."""
+        rows = np.random.default_rng(23).integers(0, 256, (8, 5))
+        schedule = {}
+        if case == "equal_energies":
+            rows = np.full((8, 5), 7)
+        elif case == "cut_off_then_update":
+            schedule = {3: 20.0}
+        elif case == "update_every_job":
+            schedule = {job: (20.0, 60.0, 5.0)[job % 3] for job in range(8)}
+        scalar, event, rng_scalar, rng_event = build_pair(
+            "new", "stall", time_bits, "random", seed=9
+        )
+        if "cut_off" in case:
+            # No temperature cuts a row's minimum (scaled energy 0), so
+            # load registers that cut every lane off.
+            for machine in (scalar, event):
+                machine._bounds = np.full_like(machine._bounds, -1.0)
+        result = event.run_matrix(rows, temperature_schedule=schedule)
+        assert_identical(scalar.run_matrix(rows, temperature_schedule=schedule), result)
+        assert rng_scalar.bit_generator.state == rng_event.bit_generator.state
         assert np.array_equal(scalar._bounds, event._bounds)
-        assert scalar._shadow_bounds is None and event._shadow_bounds is None
+        if case == "equal_energies" and event.window > 1:
+            assert result.stats["conflict_stalls"] > 0
+        if case == "all_cut_off":
+            assert result.stats["network_conflicts"] == 0
 
 
 class TestMachineInTheLoop:
@@ -331,20 +370,6 @@ class TestJobsFromEnergiesValidation:
             machine.run_matrix(np.array([[0, 15]]))
             with pytest.raises(ConfigError, match=r"\[0, 16\)"):
                 machine.run_matrix(np.array([[0, 16]]))
-
-
-class TestEventQueue:
-    def test_orders_by_cycle_then_insertion(self):
-        queue = EventQueue()
-        queue.push(5, "late")
-        queue.push(1, "a")
-        queue.push(1, "b")
-        queue.push(3, "mid")
-        assert queue.peek_cycle() == 1
-        assert queue.pop_due(3) == [(1, "a"), (1, "b"), (3, "mid")]
-        assert len(queue) == 1
-        assert queue.pop_due(10) == [(5, "late")]
-        assert queue.peek_cycle() is None
 
 
 class TestSimulateMeasured:
